@@ -1,0 +1,165 @@
+"""Golden CLI corpus: exact stdout bytes and exit codes of fixed invocations.
+
+Inputs are written from the shared fixtures in ``conftest.py``; each case's
+stdout is compared byte for byte with ``golden/<case>.out`` and its exit code
+with ``golden/exit_codes.json``.  Stdout never names an input path, so the
+files are independent of where the inputs live.
+
+To rewrite every golden file from the current code, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+from ssekit import DirectedMultigraph, SplitSpec, serialize_graph, witness_to_json_obj
+from ssekit.cli import main
+from ssekit.splits import insplit_apply, outsplit_apply
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+CASES = {
+    "validate": ["validate", "{fork_e1}"],
+    "classify": ["classify", "{fork_e1}"],
+    "insplit": ["insplit", "{loop}", "--spec", "{loop_spec}"],
+    "insplit_witness_weights": [
+        "insplit", "{loop}", "--spec", "{loop_spec}", "--witness", "--weights", "{loop_f}",
+    ],
+    "insplit_funnel_witness": ["insplit", "{funnel}", "--spec", "{funnel_spec}", "--witness"],
+    "insplit_invalid_spec": ["insplit", "{loop}", "--spec", "{bad_spec}"],
+    "outsplit_weights": ["outsplit", "{fan}", "--spec", "{fan_spec}", "--weights", "{fan_f}"],
+    "outsplit_witness_weights": [
+        "outsplit", "{fan}", "--spec", "{fan_spec}", "--witness", "--weights", "{fan_f}",
+    ],
+    "sse_verify_pass": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_w}"],
+    "sse_verify_fail": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_broken_w}"],
+    "theta_search_found": ["theta-search", "{tl_e1}", "{tl_e2}", "{tl_e3}", "--sides", "{tl_sides}"],
+    "theta_search_absent": [
+        "theta-search", "{tl_e1}", "{tl_e2}", "{tl_stripped}", "--sides", "{tl_stripped_sides}",
+    ],
+    "lift_feasible": ["lift", "--witness", "{tl_w}", "--g", "{tl_good}"],
+    "lift_infeasible": ["lift", "--witness", "{tl_w}", "--g", "{tl_bad}"],
+    "transport_h": ["transport", "--witness", "{tl_w}", "--h", "{tl_h}"],
+    "transport_f_e12": ["transport", "--witness", "{tl_w}", "--f", "{tl_f}", "--phi-side", "e12"],
+    "transport_f_e21": ["transport", "--witness", "{tl_w}", "--f", "{tl_f}", "--phi-side", "e21"],
+    "matrix_verify_true": ["matrix-verify", "{mat_a}", "{mat_b}", "{mat_r}", "{mat_s}"],
+    "matrix_verify_false": ["matrix-verify", "{mat_a}", "{mat_identity}", "{mat_r}", "{mat_s}"],
+    "matrix_search_found": ["matrix-search", "{mat_a}", "{mat_b}", "--bound", "1"],
+    "matrix_search_absent": ["matrix-search", "{mat_a}", "{mat_3}", "--bound", "3"],
+    "chain_search_one_step": ["chain-search", "{loop}", "{loop_split}", "--max-steps", "1"],
+    "chain_search_two_loops": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "1"],
+    "chain_search_composite": ["chain-search", "{tl_e1}", "{tl_far}", "--max-steps", "3"],
+    "chain_search_invariant_mismatch": ["chain-search", "{tl_e1}", "{empty}", "--max-steps", "1"],
+    "chain_search_depth_bound": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "0"],
+    "chain_search_exhausted": ["chain-search", "{edgeless1}", "{edgeless2}", "--max-steps", "3"],
+    "invariants_profile": ["invariants", "{tl_e1}", "--n", "4"],
+    "invariants_pass": ["invariants", "{tl_e1}", "{tl_e2}", "--n", "6"],
+    "invariants_fail": ["invariants", "{tl_e1}", "{fork_e1}", "--n", "6"],
+    "export_dot_graph": ["export", "{loop_f}", "--dot"],
+    "export_dot_witness": ["export", "{tl_w}", "--dot"],
+    "corpus": ["corpus", "--seed", "5", "--count", "3"],
+    "corpus_default": ["corpus"],
+    "usage_error": ["no-such-command"],
+}
+
+
+def _write(path: pathlib.Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
+    d = tmp_path_factory.mktemp("golden")
+    e1, e2, _, w = fork
+    g_loop, f_loop, spec_loop = loop_feed
+    g_fan, f_fan, spec_fan = fan
+    tl_e1, tl_e2, tl_e3, tl_w, tl_bad, tl_good = two_loops
+    g_funnel, spec_funnel = funnel
+    broken = type(w)(**{**vars(w), "theta1": dict(w.theta1, e=("X1>y", "x>X1"))})
+    mid = insplit_apply(tl_e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
+    far = outsplit_apply(
+        mid, SplitSpec("outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)})
+    ).graph
+    stripped = DirectedMultigraph(tl_e3.vertices, tuple(e for e in tl_e3.edges if e.id != "d"))
+    sides = {
+        "side1": list(tl_w.side1),
+        "side2": list(tl_w.side2),
+        "e21": list(tl_w.e21),
+        "e12": list(tl_w.e12),
+        "vmap1": dict(tl_w.vmap1),
+        "vmap2": dict(tl_w.vmap2),
+    }
+    texts = {
+        "fork_e1": serialize_graph(e1),
+        "fork_e2": serialize_graph(e2),
+        "fork_w": json.dumps(witness_to_json_obj(w)),
+        "fork_broken_w": json.dumps(witness_to_json_obj(broken)),
+        "loop": serialize_graph(g_loop),
+        "loop_f": serialize_graph(g_loop, f_loop),
+        "loop_spec": json.dumps(spec_loop.to_json_obj()),
+        "loop_split": serialize_graph(insplit_apply(g_loop, spec_loop).graph),
+        "bad_spec": json.dumps({"kind": "insplit", "parts": {"v": [["a"]]}}),
+        "fan": serialize_graph(g_fan),
+        "fan_f": serialize_graph(g_fan, f_fan),
+        "fan_spec": json.dumps(spec_fan.to_json_obj()),
+        "funnel": serialize_graph(g_funnel),
+        "funnel_spec": json.dumps(spec_funnel.to_json_obj()),
+        "tl_e1": serialize_graph(tl_e1),
+        "tl_e2": serialize_graph(tl_e2),
+        "tl_e3": serialize_graph(tl_e3),
+        "tl_w": json.dumps(witness_to_json_obj(tl_w)),
+        "tl_bad": serialize_graph(tl_e2, tl_bad),
+        "tl_good": serialize_graph(tl_e2, tl_good),
+        "tl_far": serialize_graph(far),
+        "tl_sides": json.dumps(sides),
+        "tl_stripped": serialize_graph(stripped),
+        "tl_stripped_sides": json.dumps(dict(sides, e12=["c"])),
+        "tl_h": json.dumps({"weights": {"a": 0, "b": 1, "c": 1, "d": 3}}),
+        "tl_f": json.dumps({"weights": {"p": 1, "q": 2}}),
+        "empty": '{"vertices": [], "edges": []}',
+        "edgeless1": '{"vertices": ["u"], "edges": []}',
+        "edgeless2": '{"vertices": ["u", "v"], "edges": []}',
+        "mat_a": json.dumps({"entries": [[2]]}),
+        "mat_b": json.dumps({"entries": [[1, 1], [1, 1]]}),
+        "mat_3": json.dumps({"entries": [[3]]}),
+        "mat_identity": json.dumps({"entries": [[1, 0], [0, 1]]}),
+        "mat_r": json.dumps({"rows": ["0"], "cols": ["0", "1"], "entries": [[1, 1]]}),
+        "mat_s": json.dumps({"rows": ["0", "1"], "cols": ["0"], "entries": [[1], [1]]}),
+    }
+    return {key: _write(d / key, text) for key, text in texts.items()}
+
+
+def _invoke(capsys, argv: list[str], inputs: dict[str, str]) -> tuple[int, str]:
+    code = main([arg.format(**inputs) for arg in argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_cli(case, inputs, capsys, request):
+    code, out = _invoke(capsys, CASES[case], inputs)
+    if getattr(request.config, "golden_update", False):
+        (GOLDEN / f"{case}.out").write_bytes(out.encode("utf-8"))
+        codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
+        codes[case] = code
+        EXIT_CODES.write_text(json.dumps(dict(sorted(codes.items())), indent=2) + "\n")
+        return
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[case]
+
+
+class _GoldenUpdate:
+    def pytest_configure(self, config):
+        config.golden_update = True
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    EXIT_CODES.unlink(missing_ok=True)
+    sys.exit(pytest.main([__file__, "-q", "-p", "no:cacheprovider"], plugins=[_GoldenUpdate()]))
