@@ -44,12 +44,10 @@ from .splits import (
     outsplit_transport_f,
     outsplit_witness,
     parse_split_spec,
-    split_is_proper,
     validate_split_spec,
 )
+from .search import ChainSearchResult, ChainStep, sse_chain_search
 from .sse import (
-    ChainSearchResult,
-    ChainStep,
     EssePair,
     EsseWitnessBundle,
     SseWitness,
@@ -60,7 +58,6 @@ from .sse import (
     matrix_essse_search,
     matrix_essse_verify,
     parse_witness,
-    sse_chain_search,
     verify_sse_witness,
     witness_from_essse,
     witness_to_json_obj,

@@ -26,20 +26,16 @@ from .graphs import (
     to_dot,
 )
 from .invariants import periodic_point_profile, sse_invariant_filter
-from .splits import (
-    insplit_transport_f,
-    insplit_witness,
-    outsplit_transport_f,
-    outsplit_witness,
-    parse_split_spec,
-)
+from .search import sse_chain_search
+from .splits import insplit_witness, outsplit_witness, parse_split_spec
 from .sse import (
     EssePair,
     find_theta_bijections,
     matrix_essse_search,
     matrix_essse_verify,
     parse_witness,
-    sse_chain_search,
+    str_list,
+    str_map,
     verify_sse_witness,
     witness_to_json_obj,
 )
@@ -114,7 +110,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "valid": True,
             "vertices": len(g.vertices),
             "edges": len(g.edges),
-            "row_finite": g.row_finite,
             "weighted": fn is not None,
         }
     )
@@ -135,19 +130,22 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
         raise GraphFormatError(f"{args.spec}: expected an {kind} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None
     bundle = insplit_witness(g, spec) if kind == "insplit" else outsplit_witness(g, spec)
+    g2 = None
     if f is not None:
-        if kind == "insplit":
-            g2 = insplit_transport_f(g, spec, f)
-            h, _ = weights_from_f_E21(bundle.witness, f, bundle.phi2)
-        else:
-            g2, h = outsplit_transport_f(g, spec, f)
+        if f.graph != g:
+            raise GraphError("f is not a weight map on the graph being split")
+        # Every copy inherits its original's weight: h holds f on the phi2
+        # class, and g2 is h carried along theta2.
+        builder = weights_from_f_E21 if kind == "insplit" else weights_from_f_E12
+        h, g_implied = builder(bundle.witness, f, bundle.phi2)
+        g2 = EdgeFunction(bundle.e2, dict(g_implied.weights))
     out: dict = {
-        "e2": graph_to_json_obj(bundle.e2, g2 if f is not None else None),
+        "e2": graph_to_json_obj(bundle.e2, g2),
         "vertex_origin": {k: list(v) for k, v in bundle.application.vertex_origin.items()},
         "edge_origin": {k: list(v) for k, v in bundle.application.edge_origin.items()},
     }
     if args.witness:
-        out["e3"] = graph_to_json_obj(bundle.e3)
+        out["e3"] = graph_to_json_obj(bundle.witness.e3)
         out["witness"] = witness_to_json_obj(bundle.witness)
         out["phi1"] = dict(bundle.phi1)
         out["phi2"] = dict(bundle.phi2)
@@ -181,23 +179,12 @@ def cmd_theta_search(args: argparse.Namespace) -> int:
     obj = _load_json(args.sides)
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{args.sides}: sides file must be an object")
-    for key in ("side1", "side2", "e21", "e12"):
-        if not isinstance(obj.get(key), list):
-            raise GraphFormatError(f'{args.sides}: "{key}" must be a list')
-    for key in ("vmap1", "vmap2"):
-        if not isinstance(obj.get(key), dict):
-            raise GraphFormatError(f'{args.sides}: "{key}" must be an object')
-    result = find_theta_bijections(
-        e1,
-        e2,
-        e3,
-        obj["side1"],
-        obj["side2"],
-        obj["e21"],
-        obj["e12"],
-        obj["vmap1"],
-        obj["vmap2"],
-    )
+    try:
+        lists = [str_list(obj, key) for key in ("side1", "side2", "e21", "e12")]
+        maps = [str_map(obj, key) for key in ("vmap1", "vmap2")]
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{args.sides}: {exc}") from None
+    result = find_theta_bijections(e1, e2, e3, *lists, *maps)
     if result is None:
         _emit({"status": "absent", "reason": "fiber counts differ"})
         return EXIT_NEGATIVE
@@ -295,6 +282,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        sys.stderr.write("error: --count must be nonnegative\n")
+        return EXIT_USAGE
     rng = random.Random(args.seed)
     graphs = [
         random_graph(rng, max_vertices=args.max_vertices, max_edges=args.max_edges)

@@ -9,7 +9,7 @@ Conventions, used consistently by every module in this package:
   a *sink* when it emits none (``s^{-1}(v)`` empty);
 * adjacency matrices count ``A(v, w) = #{e : r(e) = v, s(e) = w}`` -- rows
   index ranges, columns index sources -- so ``(A^n)(v, w)`` counts length-n
-  paths from ``w`` to ``v`` and row-finiteness is a row condition.
+  paths from ``w`` to ``v``.
 
 Vertices and edges keep their input order; that order is the canonical
 iteration order everywhere.  All values are immutable after construction and
@@ -19,7 +19,7 @@ every function here is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -42,15 +42,11 @@ class Edge:
 class DirectedMultigraph:
     """A finite directed multigraph: vertex ids, edge records, and s/r maps.
 
-    Ids are opaque strings, unique within their kind.  ``vertex_labels`` and
-    ``edge_labels`` optionally carry display names (splits use them for
-    barred copies); they take no part in equality or serialization.
+    Ids are opaque strings, unique within their kind.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    vertex_labels: Mapping[str, str] = field(default_factory=dict, compare=False)
-    edge_labels: Mapping[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         seen_v: set[str] = set()
@@ -107,11 +103,6 @@ class DirectedMultigraph:
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
-
-    @property
-    def row_finite(self) -> bool:
-        """Every vertex receives finitely many edges; vacuous for finite graphs."""
-        return True
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,186 @@
+"""Bounded bidirectional search for a chain of splits between two graphs.
+
+Both endpoints grow forward under insplits and outsplits until the two
+frontiers reach isomorphic graphs.  Every split is an elementary SSE, so it
+preserves ``tr(A^n)`` for every n: the endpoints are compared on their
+periodic-point profiles once, and children are never re-checked.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .graphs import DirectedMultigraph, GraphError, canonical_key, graph_to_json_obj
+from .invariants import sse_invariant_filter
+from .splits import (
+    SplitSpec,
+    _build_insplit,
+    _build_outsplit,
+    enumerate_split_specs,
+    split_vertex_count,
+)
+
+
+@dataclass(frozen=True)
+class ChainStep:
+    move: str  # "insplit" | "outsplit"
+    spec: SplitSpec  # of the predecessor graph
+    graph: DirectedMultigraph
+
+    def to_json_obj(self) -> dict:
+        return {
+            "move": self.move,
+            "spec": self.spec.to_json_obj(),
+            "graph": graph_to_json_obj(self.graph),
+        }
+
+
+@dataclass
+class ChainSearchResult:
+    """Outcome of the bounded bidirectional split search.
+
+    ``found``: both legs of split moves, applied forward from their endpoint,
+    end in isomorphic graphs.  ``absent`` proves nothing beyond the bounds;
+    ``reason`` separates an invariant refutation, a depth bound that stopped
+    the search, and a fully exhausted reachable space.
+    """
+
+    status: str  # "found" | "absent"
+    steps_from_e1: list[ChainStep] = field(default_factory=list)
+    steps_from_e2: list[ChainStep] = field(default_factory=list)
+    reason: str | None = None
+    mismatch_period: int | None = None
+    truncated_by_vertex_bound: bool = False
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.steps_from_e1) + len(self.steps_from_e2)
+
+    def to_json_obj(self) -> dict:
+        obj: dict = {"status": self.status}
+        if self.status == "found":
+            obj["total_steps"] = self.total_steps
+            obj["from_e1"] = [s.to_json_obj() for s in self.steps_from_e1]
+            obj["from_e2"] = [s.to_json_obj() for s in self.steps_from_e2]
+        else:
+            obj["reason"] = self.reason
+            if self.mismatch_period is not None:
+                obj["n"] = self.mismatch_period
+        obj["truncated_by_vertex_bound"] = self.truncated_by_vertex_bound
+        return obj
+
+
+@dataclass
+class _State:
+    graph: DirectedMultigraph
+    parent: tuple | None
+    move: str | None
+    spec: SplitSpec | None
+
+
+class _SearchSide:
+    def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
+        self.max_vertices = max_vertices
+        self.max_parts = max_parts
+        self.truncated = False
+        root_key = canonical_key(root)
+        self.states: dict[tuple, _State] = {root_key: _State(root, None, None, None)}
+        self.layers: list[list[tuple]] = [[root_key]]
+
+    def expand_to(self, depth: int) -> None:
+        while len(self.layers) <= depth:
+            frontier = self.layers[-1]
+            new_layer: list[tuple] = []
+            for key in frontier:
+                g = self.states[key].graph
+                for move, spec in enumerate_split_specs(g, self.max_parts):
+                    if split_vertex_count(g, spec) > self.max_vertices:
+                        self.truncated = True
+                        continue
+                    # enumerate_split_specs yields only valid specs
+                    build = _build_insplit if move == "insplit" else _build_outsplit
+                    child = build(g, spec).graph
+                    child_key = canonical_key(child)
+                    if child_key in self.states:
+                        continue
+                    self.states[child_key] = _State(child, key, move, spec)
+                    new_layer.append(child_key)
+            self.layers.append(new_layer)
+
+    def leg(self, key: tuple) -> list[ChainStep]:
+        steps: list[ChainStep] = []
+        state = self.states[key]
+        while state.parent is not None:
+            steps.append(ChainStep(state.move, state.spec, state.graph))  # type: ignore[arg-type]
+            state = self.states[state.parent]
+        steps.reverse()
+        return steps
+
+
+def sse_chain_search(
+    e1: DirectedMultigraph,
+    e2: DirectedMultigraph,
+    max_steps: int = 3,
+    max_vertices: int = 10,
+    max_parts: int = 2,
+) -> ChainSearchResult:
+    """Bounded bidirectional probe for a chain of splits connecting e1 and e2.
+
+    Both endpoints grow forward under all insplits and outsplits (classes per
+    vertex capped by ``max_parts``, intermediate graphs by ``max_vertices``);
+    frontiers are keyed by graph canonical form, so legs meet exactly when
+    they reach isomorphic graphs.  The endpoints' periodic-point profiles up
+    to period 4 are compared first and a mismatch refutes at once; splits
+    preserve the profile, so no state is pruned on it.  Absence within the
+    bounds decides nothing.
+
+    The bounds are the only throttle: the number of split specs per state is
+    the product of per-vertex partition counts, so graphs with fat in/out
+    bundles explode combinatorially -- tighten the bounds before probing
+    dense graphs.  Depth pairs are explored balanced-first within each total
+    step count, so one-sided deep expansion happens only when nothing
+    shallower meets.
+    """
+    if max_steps < 0:
+        raise GraphError("max_steps must be nonnegative")
+    if max_vertices < 1 or max_parts < 1:
+        raise GraphError("max_vertices and max_parts must be at least 1")
+
+    inv = sse_invariant_filter(e1, e2, 4)
+    if not inv.passed:
+        return ChainSearchResult(
+            "absent",
+            reason="invariant-mismatch",
+            mismatch_period=inv.first_mismatch,
+        )
+
+    side1 = _SearchSide(e1, max_vertices, max_parts)
+    side2 = _SearchSide(e2, max_vertices, max_parts)
+
+    for total in range(max_steps + 1):
+        decompositions = sorted(
+            ((d1, total - d1) for d1 in range(total + 1)),
+            key=lambda pair: (max(pair), pair),
+        )
+        for d1, d2 in decompositions:
+            side1.expand_to(d1)
+            side2.expand_to(d2)
+            common = sorted(set(side1.layers[d1]) & set(side2.layers[d2]))
+            if common:
+                meet = common[0]
+                return ChainSearchResult(
+                    "found",
+                    steps_from_e1=side1.leg(meet),
+                    steps_from_e2=side2.leg(meet),
+                    truncated_by_vertex_bound=side1.truncated or side2.truncated,
+                )
+
+    truncated = side1.truncated or side2.truncated
+    frontier_open = bool(side1.layers[-1]) or bool(side2.layers[-1])
+    if frontier_open or truncated:
+        reason = "depth-bound-reached"
+    else:
+        reason = "search-space-exhausted"
+    return ChainSearchResult(
+        "absent", reason=reason, truncated_by_vertex_bound=truncated
+    )

@@ -31,7 +31,7 @@ from .graphs import (
     GraphError,
     GraphFormatError,
 )
-from .sse import SseWitness
+from .sse import SseWitness, _fresh_ids
 from .weights import weights_from_f_E12
 
 
@@ -100,29 +100,12 @@ class SplitReport:
     valid: bool
     violations: list[str]
     m: dict[str, int]
-    proper: bool = True
-    proper_reason: str = "finite graph"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violations": self.violations,
-            "m": self.m,
-            "proper": self.proper,
-            "proper_reason": self.proper_reason,
-        }
 
 
 class SplitSpecError(GraphError):
     def __init__(self, report: SplitReport):
         super().__init__("invalid split spec: " + "; ".join(report.violations))
         self.report = report
-
-
-def split_is_proper(g: DirectedMultigraph, spec: SplitSpec) -> tuple[bool, str]:
-    """Properness constrains splits at infinite receivers; finite graphs
-    satisfy it outright."""
-    return True, "finite graph"
 
 
 def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
@@ -173,9 +156,8 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
             violations.append(f"vertex {v!r}: classes miss edges {sorted(missing)}")
         if extra:
             violations.append(f"vertex {v!r}: classes contain foreign edges {sorted(extra)}")
-    proper, reason = split_is_proper(g, spec)
     m = {v: spec.m(v) for v in g.vertices}
-    return SplitReport(not violations, violations, m, proper, reason)
+    return SplitReport(not violations, violations, m)
 
 
 def _require(g: DirectedMultigraph, spec: SplitSpec, kind: str) -> None:
@@ -192,37 +174,24 @@ class SplitApplication:
     vertex_origin: Mapping[str, tuple[str, int | None]]
     edge_origin: Mapping[str, tuple[str, int | None]]
 
-    def to_json_obj(self) -> dict:
-        from .graphs import graph_to_json_obj
-
-        return {
-            "graph": graph_to_json_obj(self.graph),
-            "vertex_origin": {k: [v, i] for k, (v, i) in self.vertex_origin.items()},
-            "edge_origin": {k: [e, i] for k, (e, i) in self.edge_origin.items()},
-        }
-
 
 def _copy_vertices(
     g: DirectedMultigraph, spec: SplitSpec, marker: str
-) -> tuple[list[str], dict[str, tuple[str, int | None]], dict[str, str]]:
+) -> tuple[list[str], dict[str, tuple[str, int | None]]]:
     vertices: list[str] = []
     origin: dict[str, tuple[str, int | None]] = {}
-    labels: dict[str, str] = {}
-    sub = "_" if marker == "~" else "^"
     for v in g.vertices:
         mv = spec.m(v)
         if mv == 0:
             nid = f"{v}{marker}"
             vertices.append(nid)
             origin[nid] = (v, None)
-            labels[nid] = f"{v}‾"
         else:
             for i in range(1, mv + 1):
                 nid = f"{v}{marker}{i}"
                 vertices.append(nid)
                 origin[nid] = (v, i)
-                labels[nid] = f"{v}‾{sub}{i}"
-    return vertices, origin, labels
+    return vertices, origin
 
 
 def insplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
@@ -230,11 +199,15 @@ def insplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
     copy per class at the edge's source; the copy's range is the class of the
     original edge."""
     _require(g, spec, "insplit")
+    return _build_insplit(g, spec)
+
+
+def _build_insplit(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
+    """``insplit_apply`` for a spec already known to be a valid insplit."""
     cls_idx = spec.class_index()
-    vertices, vertex_origin, vlabels = _copy_vertices(g, spec, "~")
+    vertices, vertex_origin = _copy_vertices(g, spec, "~")
     edges: list[Edge] = []
     edge_origin: dict[str, tuple[str, int | None]] = {}
-    elabels: dict[str, str] = {}
     for e in g.edges:
         rng_copy = f"{e.rng}~{cls_idx[e.id]}"
         ms = spec.m(e.src)
@@ -242,14 +215,12 @@ def insplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
             nid = f"{e.id}~"
             edges.append(Edge(nid, f"{e.src}~", rng_copy))
             edge_origin[nid] = (e.id, None)
-            elabels[nid] = f"{e.id}‾"
         else:
             for j in range(1, ms + 1):
                 nid = f"{e.id}~{j}"
                 edges.append(Edge(nid, f"{e.src}~{j}", rng_copy))
                 edge_origin[nid] = (e.id, j)
-                elabels[nid] = f"{e.id}‾_{j}"
-    graph = DirectedMultigraph(tuple(vertices), tuple(edges), vlabels, elabels)
+    graph = DirectedMultigraph(tuple(vertices), tuple(edges))
     return SplitApplication(graph, vertex_origin, edge_origin)
 
 
@@ -258,11 +229,15 @@ def outsplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
     copy per class at the edge's range; the copy's source is the class of the
     original edge (sources keep their whole out-bundle on the unindexed copy)."""
     _require(g, spec, "outsplit")
+    return _build_outsplit(g, spec)
+
+
+def _build_outsplit(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
+    """``outsplit_apply`` for a spec already known to be a valid outsplit."""
     cls_idx = spec.class_index()
-    vertices, vertex_origin, vlabels = _copy_vertices(g, spec, "^")
+    vertices, vertex_origin = _copy_vertices(g, spec, "^")
     edges: list[Edge] = []
     edge_origin: dict[str, tuple[str, int | None]] = {}
-    elabels: dict[str, str] = {}
     for e in g.edges:
         si = cls_idx.get(e.id)
         src_copy = f"{e.src}^{si}" if si is not None else f"{e.src}^"
@@ -271,31 +246,54 @@ def outsplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
             nid = f"{e.id}^"
             edges.append(Edge(nid, src_copy, f"{e.rng}^"))
             edge_origin[nid] = (e.id, None)
-            elabels[nid] = f"{e.id}‾"
         else:
             for j in range(1, mr + 1):
                 nid = f"{e.id}^{j}"
                 edges.append(Edge(nid, src_copy, f"{e.rng}^{j}"))
                 edge_origin[nid] = (e.id, j)
-                elabels[nid] = f"{e.id}‾^{j}"
-    graph = DirectedMultigraph(tuple(vertices), tuple(edges), vlabels, elabels)
+    graph = DirectedMultigraph(tuple(vertices), tuple(edges))
     return SplitApplication(graph, vertex_origin, edge_origin)
 
 
 @dataclass(frozen=True)
 class SplitWitnessBundle:
     e2: DirectedMultigraph
-    e3: DirectedMultigraph
     witness: SseWitness
     phi1: Mapping[str, str]  # split-graph vertices -> witness edges
     phi2: Mapping[str, str]  # original edges -> witness edges
     application: SplitApplication
 
 
-def _fresh_id(base: str, taken: set[str]) -> str:
-    while base in taken:
-        base = base + "'"
-    return base
+def _split_bundle(
+    g: DirectedMultigraph,
+    app: SplitApplication,
+    e21: list[tuple[str, str, str]],
+    e12: list[tuple[str, str, str]],
+    theta1: dict[str, tuple[str, str]],
+    theta2: dict[str, tuple[str, str]],
+    phi1: dict[str, str],
+    phi2: dict[str, str],
+) -> SplitWitnessBundle:
+    """Assemble a split's witness.  Side 1 keeps ``g``'s vertex ids and side 2
+    takes the split graph's, primed where they collide.  ``e21`` lists
+    (edge id, vertex of g, vertex of the split graph), ``e12`` the reverse."""
+    side1 = tuple(g.vertices)
+    vmap2 = _fresh_ids(side1, app.graph.vertices)
+    side2 = tuple(vmap2.values())
+    edges = [Edge(eta, v, vmap2[x]) for eta, v, x in e21]
+    edges += [Edge(eta, vmap2[x], v) for eta, x, v in e12]
+    witness = SseWitness(
+        DirectedMultigraph(side1 + side2, tuple(edges)),
+        side1,
+        side2,
+        tuple(eta for eta, _, _ in e21),
+        tuple(eta for eta, _, _ in e12),
+        {v: v for v in side1},
+        vmap2,
+        theta1,
+        theta2,
+    )
+    return SplitWitnessBundle(app.graph, witness, phi1, phi2, app)
 
 
 def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
@@ -304,48 +302,20 @@ def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundl
     the copy of its class (phi2); theta1 = phi1 after phi2, theta2 reads the
     copy's source off phi1."""
     app = insplit_apply(g, spec)
-    e2 = app.graph
     cls_idx = spec.class_index()
-
-    side1 = tuple(g.vertices)
-    taken = set(side1)
-    vmap2: dict[str, str] = {}
-    for v2 in e2.vertices:
-        nid = _fresh_id(v2, taken)
-        vmap2[v2] = nid
-        taken.add(nid)
-    side2 = tuple(vmap2[v2] for v2 in e2.vertices)
-
-    phi2: dict[str, str] = {}
-    e21_edges: list[Edge] = []
-    for e in g.edges:
-        eta = f"e21:{e.id}"
-        phi2[e.id] = eta
-        e21_edges.append(Edge(eta, e.src, vmap2[f"{e.rng}~{cls_idx[e.id]}"]))
-    phi1: dict[str, str] = {}
-    e12_edges: list[Edge] = []
-    for v2 in e2.vertices:
-        eta = f"e12:{v2}"
-        phi1[v2] = eta
-        e12_edges.append(Edge(eta, vmap2[v2], app.vertex_origin[v2][0]))
-
-    e3 = DirectedMultigraph(side1 + side2, tuple(e21_edges) + tuple(e12_edges))
-    theta1 = {e.id: (phi1[f"{e.rng}~{cls_idx[e.id]}"], phi2[e.id]) for e in g.edges}
-    theta2 = {
-        e2e.id: (phi2[app.edge_origin[e2e.id][0]], phi1[e2e.src]) for e2e in e2.edges
-    }
-    witness = SseWitness(
-        e3,
-        side1,
-        side2,
-        tuple(e.id for e in e21_edges),
-        tuple(e.id for e in e12_edges),
-        {v: v for v in g.vertices},
-        vmap2,
-        theta1,
-        theta2,
+    rng_copy = {e.id: f"{e.rng}~{cls_idx[e.id]}" for e in g.edges}
+    phi2 = {e.id: f"e21:{e.id}" for e in g.edges}
+    phi1 = {v2: f"e12:{v2}" for v2 in app.graph.vertices}
+    return _split_bundle(
+        g,
+        app,
+        [(phi2[e.id], e.src, rng_copy[e.id]) for e in g.edges],
+        [(phi1[v2], v2, app.vertex_origin[v2][0]) for v2 in app.graph.vertices],
+        {e.id: (phi1[rng_copy[e.id]], phi2[e.id]) for e in g.edges},
+        {e2e.id: (phi2[app.edge_origin[e2e.id][0]], phi1[e2e.src]) for e2e in app.graph.edges},
+        phi1,
+        phi2,
     )
-    return SplitWitnessBundle(e2, e3, witness, phi1, phi2, app)
 
 
 def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
@@ -354,54 +324,20 @@ def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBund
     the copy of its class (phi2); theta1 = phi2 after phi1, theta2 reads the
     copy's range off phi1."""
     app = outsplit_apply(g, spec)
-    e2 = app.graph
     cls_idx = spec.class_index()
-
-    side1 = tuple(g.vertices)
-    taken = set(side1)
-    vmap2: dict[str, str] = {}
-    for v2 in e2.vertices:
-        nid = _fresh_id(v2, taken)
-        vmap2[v2] = nid
-        taken.add(nid)
-    side2 = tuple(vmap2[v2] for v2 in e2.vertices)
-
-    phi1: dict[str, str] = {}
-    e21_edges: list[Edge] = []
-    for v2 in e2.vertices:
-        eta = f"e21:{v2}"
-        phi1[v2] = eta
-        e21_edges.append(Edge(eta, app.vertex_origin[v2][0], vmap2[v2]))
-    phi2: dict[str, str] = {}
-    e12_edges: list[Edge] = []
-    for e in g.edges:
-        si = cls_idx.get(e.id)
-        src_copy = f"{e.src}^{si}" if si is not None else f"{e.src}^"
-        eta = f"e12:{e.id}"
-        phi2[e.id] = eta
-        e12_edges.append(Edge(eta, vmap2[src_copy], e.rng))
-
-    e3 = DirectedMultigraph(side1 + side2, tuple(e21_edges) + tuple(e12_edges))
-    theta1: dict[str, tuple[str, str]] = {}
-    for e in g.edges:
-        si = cls_idx.get(e.id)
-        src_copy = f"{e.src}^{si}" if si is not None else f"{e.src}^"
-        theta1[e.id] = (phi2[e.id], phi1[src_copy])
-    theta2 = {
-        e2e.id: (phi1[e2e.rng], phi2[app.edge_origin[e2e.id][0]]) for e2e in e2.edges
-    }
-    witness = SseWitness(
-        e3,
-        side1,
-        side2,
-        tuple(e.id for e in e21_edges),
-        tuple(e.id for e in e12_edges),
-        {v: v for v in g.vertices},
-        vmap2,
-        theta1,
-        theta2,
+    src_copy = {e.id: f"{e.src}^{cls_idx.get(e.id, '')}" for e in g.edges}
+    phi1 = {v2: f"e21:{v2}" for v2 in app.graph.vertices}
+    phi2 = {e.id: f"e12:{e.id}" for e in g.edges}
+    return _split_bundle(
+        g,
+        app,
+        [(phi1[v2], app.vertex_origin[v2][0], v2) for v2 in app.graph.vertices],
+        [(phi2[e.id], src_copy[e.id], e.rng) for e in g.edges],
+        {e.id: (phi2[e.id], phi1[src_copy[e.id]]) for e in g.edges},
+        {e2e.id: (phi1[e2e.rng], phi2[app.edge_origin[e2e.id][0]]) for e2e in app.graph.edges},
+        phi1,
+        phi2,
     )
-    return SplitWitnessBundle(e2, e3, witness, phi1, phi2, app)
 
 
 def insplit_transport_f(g: DirectedMultigraph, spec: SplitSpec, f: EdgeFunction) -> EdgeFunction:

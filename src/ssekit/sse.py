@@ -1,4 +1,4 @@
-"""Strong shift equivalence: witnesses, the matrix formulation, chain search.
+"""Strong shift equivalence: witnesses and the matrix formulation.
 
 Two graphs are elementary SSE when a bipartite intermediate graph connects
 them: its vertices split into two sides carrying copies of the two vertex
@@ -27,13 +27,11 @@ from .graphs import (
     GraphFormatError,
     NonnegIntMatrix,
     Path,
-    canonical_key,
     graph_from_json_obj,
     graph_from_matrix,
     graph_to_json_obj,
     paths_between,
 )
-from .invariants import periodic_point_profile, sse_invariant_filter
 
 
 class WitnessReferenceError(GraphError):
@@ -245,21 +243,27 @@ def _theta_check(
     return problems
 
 
-def _condition_source_regularity(e3: DirectedMultigraph) -> tuple[bool, list[str]]:
-    problems: list[str] = []
+def _source_offences(e3: DirectedMultigraph) -> list[tuple[str, str]]:
+    """(vertex, message) for each source that breaks condition 4."""
+    offences: list[tuple[str, str]] = []
     for v in e3.vertices:
         if e3.in_edges(v):
             continue
         out = e3.out_edges(v)
         if len(out) != 1:
-            problems.append(f"source {v!r} emits {len(out)} edges instead of exactly one")
+            offences.append((v, f"source {v!r} emits {len(out)} edges instead of exactly one"))
             continue
         eta = out[0]
         receivers = e3.in_edges(eta.rng)
         if len(receivers) != 1 or receivers[0].id != eta.id:
-            problems.append(
-                f"source {v!r}: its edge {eta.id!r} is not the only edge into {eta.rng!r}"
+            offences.append(
+                (v, f"source {v!r}: its edge {eta.id!r} is not the only edge into {eta.rng!r}")
             )
+    return offences
+
+
+def _condition_source_regularity(e3: DirectedMultigraph) -> tuple[bool, list[str]]:
+    problems = [message for _, message in _source_offences(e3)]
     return (not problems, problems)
 
 
@@ -355,6 +359,24 @@ def witness_to_json_obj(w: SseWitness) -> dict:
     }
 
 
+def str_list(obj: dict, key: str) -> tuple[str, ...]:
+    """``obj[key]`` as a tuple of strings; anything else is a format error."""
+    val = obj.get(key)
+    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+        raise GraphFormatError(f'"{key}" must be a list of strings')
+    return tuple(val)
+
+
+def str_map(obj: dict, key: str) -> dict[str, str]:
+    """``obj[key]`` as a string-to-string dict; anything else is a format error."""
+    val = obj.get(key)
+    if not isinstance(val, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in val.items()
+    ):
+        raise GraphFormatError(f'"{key}" must map strings to strings')
+    return dict(val)
+
+
 def witness_from_json_obj(obj: object) -> SseWitness:
     if not isinstance(obj, dict):
         raise GraphFormatError("witness must be an object")
@@ -362,20 +384,6 @@ def witness_from_json_obj(obj: object) -> SseWitness:
         if key not in obj:
             raise GraphFormatError(f'witness needs a "{key}" key')
     e3, _ = graph_from_json_obj(obj["e3"])
-
-    def str_list(key: str) -> tuple[str, ...]:
-        val = obj[key]
-        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-            raise GraphFormatError(f'"{key}" must be a list of strings')
-        return tuple(val)
-
-    def str_map(key: str) -> dict[str, str]:
-        val = obj[key]
-        if not isinstance(val, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in val.items()
-        ):
-            raise GraphFormatError(f'"{key}" must map strings to strings')
-        return dict(val)
 
     def theta_map(key: str) -> dict[str, tuple[str, str]]:
         val = obj[key]
@@ -395,12 +403,12 @@ def witness_from_json_obj(obj: object) -> SseWitness:
 
     return SseWitness(
         e3,
-        str_list("side1"),
-        str_list("side2"),
-        str_list("e21"),
-        str_list("e12"),
-        str_map("vmap1"),
-        str_map("vmap2"),
+        str_list(obj, "side1"),
+        str_list(obj, "side2"),
+        str_list(obj, "e21"),
+        str_list(obj, "e12"),
+        str_map(obj, "vmap1"),
+        str_map(obj, "vmap2"),
         theta_map("theta1"),
         theta_map("theta2"),
     )
@@ -448,14 +456,21 @@ def matrix_essse_verify(pair: EssePair) -> bool:
 class EsseWitnessBundle:
     e1: DirectedMultigraph
     e2: DirectedMultigraph
-    e3: DirectedMultigraph
     witness: SseWitness
 
 
-def _fresh_id(base: str, taken: set[str]) -> str:
-    while base in taken:
-        base = base + "'"
-    return base
+def _fresh_ids(side1: Sequence[str], names: Sequence[str]) -> dict[str, str]:
+    """Side-2 ids for ``names``, in order: each name keeps its id unless
+    side 1 or an earlier name holds it, and is primed until free."""
+    taken = set(side1)
+    ids: dict[str, str] = {}
+    for name in names:
+        nid = name
+        while nid in taken:
+            nid += "'"
+        ids[name] = nid
+        taken.add(nid)
+    return ids
 
 
 def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
@@ -473,13 +488,8 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
     e1 = graph_from_matrix(pair.a)
     e2 = graph_from_matrix(pair.b)
     side1 = tuple(pair.a.rows)
-    taken = set(side1)
-    vmap2: dict[str, str] = {}
-    for x in pair.b.rows:
-        nid = _fresh_id(x, taken)
-        vmap2[x] = nid
-        taken.add(nid)
-    side2 = tuple(vmap2[x] for x in pair.b.rows)
+    vmap2 = _fresh_ids(side1, pair.b.rows)
+    side2 = tuple(vmap2.values())
     vmap1 = {v: v for v in side1}
 
     edges: list[Edge] = []
@@ -505,12 +515,13 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
     witness = SseWitness(
         e3, side1, side2, tuple(e21_ids), tuple(e12_ids), vmap1, vmap2, thetas[0], thetas[1]
     )
-    bundle = EsseWitnessBundle(e1, e2, e3, witness)
-    ok4, problems = _condition_source_regularity(e3)
-    if not ok4:
-        offender = problems[0].split("'")[1] if "'" in problems[0] else None
+    bundle = EsseWitnessBundle(e1, e2, witness)
+    offences = _source_offences(e3)
+    if offences:
         raise WitnessConstructionError(
-            "source condition fails: " + "; ".join(problems), vertex=offender, bundle=bundle
+            "source condition fails: " + "; ".join(message for _, message in offences),
+            vertex=offences[0][0],
+            bundle=bundle,
         )
     return bundle
 
@@ -602,176 +613,3 @@ def matrix_essse_search(
             s_mat = NonnegIntMatrix(b.rows, a.rows, tuple(tuple(row) for row in s_entries))
             return r_mat, s_mat
     return None
-
-
-# -- bounded chain search ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    move: str  # "insplit" | "outsplit"
-    spec: object  # SplitSpec of the predecessor graph
-    graph: DirectedMultigraph
-
-    def to_json_obj(self) -> dict:
-        return {
-            "move": self.move,
-            "spec": self.spec.to_json_obj(),  # type: ignore[attr-defined]
-            "graph": graph_to_json_obj(self.graph),
-        }
-
-
-@dataclass
-class ChainSearchResult:
-    """Outcome of the bounded bidirectional split search.
-
-    ``found``: both legs of split moves, applied forward from their endpoint,
-    end in isomorphic graphs.  ``absent`` proves nothing beyond the bounds;
-    ``reason`` separates an invariant refutation, a depth bound that stopped
-    the search, and a fully exhausted reachable space.
-    """
-
-    status: str  # "found" | "absent"
-    steps_from_e1: list[ChainStep] = field(default_factory=list)
-    steps_from_e2: list[ChainStep] = field(default_factory=list)
-    reason: str | None = None
-    mismatch_period: int | None = None
-    truncated_by_vertex_bound: bool = False
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.steps_from_e1) + len(self.steps_from_e2)
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"status": self.status}
-        if self.status == "found":
-            obj["total_steps"] = self.total_steps
-            obj["from_e1"] = [s.to_json_obj() for s in self.steps_from_e1]
-            obj["from_e2"] = [s.to_json_obj() for s in self.steps_from_e2]
-        else:
-            obj["reason"] = self.reason
-            if self.mismatch_period is not None:
-                obj["n"] = self.mismatch_period
-        obj["truncated_by_vertex_bound"] = self.truncated_by_vertex_bound
-        return obj
-
-
-@dataclass
-class _State:
-    graph: DirectedMultigraph
-    depth: int
-    parent: tuple | None
-    move: str | None
-    spec: object | None
-
-
-class _SearchSide:
-    def __init__(self, root: DirectedMultigraph, opposite_profile, max_vertices: int, max_parts: int):
-        self.max_vertices = max_vertices
-        self.max_parts = max_parts
-        self.opposite_profile = opposite_profile
-        self.truncated = False
-        root_key = canonical_key(root)
-        self.states: dict[tuple, _State] = {root_key: _State(root, 0, None, None, None)}
-        self.layers: list[list[tuple]] = [[root_key]]
-
-    def expand_to(self, depth: int) -> None:
-        from .splits import enumerate_split_specs, insplit_apply, outsplit_apply, split_vertex_count
-
-        while len(self.layers) <= depth:
-            frontier = self.layers[-1]
-            new_layer: list[tuple] = []
-            for key in frontier:
-                g = self.states[key].graph
-                for move, spec in enumerate_split_specs(g, self.max_parts):
-                    if split_vertex_count(g, spec) > self.max_vertices:
-                        self.truncated = True
-                        continue
-                    applied = insplit_apply(g, spec) if move == "insplit" else outsplit_apply(g, spec)
-                    child = applied.graph
-                    child_key = canonical_key(child)
-                    if child_key in self.states:
-                        continue
-                    prof = periodic_point_profile(child, self.opposite_profile.n_max)
-                    if prof != self.opposite_profile:
-                        continue
-                    self.states[child_key] = _State(child, len(self.layers), key, move, spec)
-                    new_layer.append(child_key)
-            self.layers.append(new_layer)
-
-    def leg(self, key: tuple) -> list[ChainStep]:
-        steps: list[ChainStep] = []
-        state = self.states[key]
-        while state.parent is not None:
-            steps.append(ChainStep(state.move, state.spec, state.graph))  # type: ignore[arg-type]
-            state = self.states[state.parent]
-        steps.reverse()
-        return steps
-
-
-def sse_chain_search(
-    e1: DirectedMultigraph,
-    e2: DirectedMultigraph,
-    max_steps: int = 3,
-    max_vertices: int = 10,
-    max_parts: int = 2,
-) -> ChainSearchResult:
-    """Bounded bidirectional probe for a chain of splits connecting e1 and e2.
-
-    Both endpoints grow forward under all proper insplits and outsplits
-    (classes per vertex capped by ``max_parts``, intermediate graphs by
-    ``max_vertices``); frontiers are keyed by graph canonical form, so legs
-    meet exactly when they reach isomorphic graphs.  States whose
-    periodic-point profile up to period 4 disagrees with the opposite
-    endpoint are pruned.  Absence within the bounds decides nothing.
-
-    The bounds are the only throttle: the number of split specs per state is
-    the product of per-vertex partition counts, so graphs with fat in/out
-    bundles explode combinatorially -- tighten the bounds before probing
-    dense graphs.  Depth pairs are explored balanced-first within each total
-    step count, so one-sided deep expansion happens only when nothing
-    shallower meets.
-    """
-    if max_steps < 0:
-        raise GraphError("max_steps must be nonnegative")
-    if max_vertices < 1 or max_parts < 1:
-        raise GraphError("max_vertices and max_parts must be at least 1")
-
-    inv = sse_invariant_filter(e1, e2, 4)
-    if not inv.passed:
-        return ChainSearchResult(
-            "absent",
-            reason="invariant-mismatch",
-            mismatch_period=inv.first_mismatch,
-        )
-
-    side1 = _SearchSide(e1, inv.profile2, max_vertices, max_parts)
-    side2 = _SearchSide(e2, inv.profile1, max_vertices, max_parts)
-
-    for total in range(max_steps + 1):
-        decompositions = sorted(
-            ((d1, total - d1) for d1 in range(total + 1)),
-            key=lambda pair: (max(pair), pair),
-        )
-        for d1, d2 in decompositions:
-            side1.expand_to(d1)
-            side2.expand_to(d2)
-            common = sorted(set(side1.layers[d1]) & set(side2.layers[d2]))
-            if common:
-                meet = common[0]
-                return ChainSearchResult(
-                    "found",
-                    steps_from_e1=side1.leg(meet),
-                    steps_from_e2=side2.leg(meet),
-                    truncated_by_vertex_bound=side1.truncated or side2.truncated,
-                )
-
-    truncated = side1.truncated or side2.truncated
-    frontier_open = bool(side1.layers[-1]) or bool(side2.layers[-1])
-    if frontier_open or truncated:
-        reason = "depth-bound-reached"
-    else:
-        reason = "search-space-exhausted"
-    return ChainSearchResult(
-        "absent", reason=reason, truncated_by_vertex_bound=truncated
-    )

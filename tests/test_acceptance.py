@@ -225,7 +225,7 @@ def test_criterion_7_property_suite():
             if lift_cases % 2 == 0
             else outsplit_witness(g, random_outsplit_spec(rng, g, 2))
         )
-        if len(bundle.e3.edges) > 8:
+        if len(bundle.witness.e3.edges) > 8:
             continue
         g2 = EdgeFunction(bundle.e2, {e: rng.randint(-3, 3) for e in bundle.e2.edge_ids()})
         outcome = lift_edge_function(bundle.witness, g2)

@@ -81,7 +81,6 @@ def test_validate_ok(run, files):
         "valid": True,
         "vertices": 4,
         "edges": 3,
-        "row_finite": True,
         "weighted": False,
     }
 
@@ -189,6 +188,16 @@ def test_theta_search_absent(run, files, two_loops):
     code, out, _ = run("theta-search", files["tl_e1"], files["tl_e2"], path, "--sides", sides)
     assert code == 1
     assert json.loads(out)["status"] == "absent"
+
+
+def test_theta_search_non_string_side_is_usage_error(run, files):
+    sides = json.loads(open(files["sides"], encoding="utf-8").read())
+    path = _write(files["tmp"] / "nested.sides", json.dumps(dict(sides, side1=[[1]])))
+    code, out, err = run(
+        "theta-search", files["tl_e1"], files["tl_e2"], files["tl_e3"], "--sides", path
+    )
+    assert code == 2
+    assert out == "" and "error:" in err
 
 
 def test_lift_infeasible_exit_1(run, files):
@@ -336,6 +345,9 @@ def test_usage_error_exit_2(run):
     assert code == 2
     code, _, _ = run("lift", "--witness", "missing.witness")  # missing required --g
     assert code == 2
+    code, out, err = run("corpus", "--count", "-1")
+    assert code == 2
+    assert out == "" and "error:" in err
 
 
 def test_console_entry_point(files):

@@ -374,7 +374,3 @@ def test_dot_export(loop_feed):
     dot = to_dot(g, weights=f)
     assert dot.startswith("digraph {")
     assert '"w" -> "v" [label="b:2"];' in dot
-
-
-def test_row_finite_reported(fork):
-    assert fork[0].row_finite is True

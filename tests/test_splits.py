@@ -18,7 +18,6 @@ from ssekit import (
     outsplit_apply,
     outsplit_transport_f,
     outsplit_witness,
-    split_is_proper,
     validate_split_spec,
     verify_sse_witness,
     weights_from_f_E21,
@@ -29,7 +28,12 @@ from ssekit.corpus import (
     random_insplit_spec,
     random_outsplit_spec,
 )
-from ssekit.splits import enumerate_split_specs, split_vertex_count
+from ssekit.splits import (
+    _build_insplit,
+    _build_outsplit,
+    enumerate_split_specs,
+    split_vertex_count,
+)
 
 
 # -- validation -----------------------------------------------------------------
@@ -40,7 +44,6 @@ def test_validate_loop_feed(loop_feed):
     report = validate_split_spec(g, spec)
     assert report.valid
     assert report.m == {"v": 2, "w": 0}
-    assert report.proper and report.proper_reason == "finite graph"
 
 
 def test_validate_fan(fan):
@@ -97,11 +100,6 @@ def test_spec_kind_checked():
         SplitSpec("sideways", {})
 
 
-def test_properness_vacuous(loop_feed):
-    g, _, spec = loop_feed
-    assert split_is_proper(g, spec) == (True, "finite graph")
-
-
 # -- insplit --------------------------------------------------------------------
 
 
@@ -149,9 +147,9 @@ def test_insplit_invalid_spec_raises(loop_feed):
 def test_insplit_witness_loop_feed(loop_feed):
     g, _, spec = loop_feed
     bundle = insplit_witness(g, spec)
-    assert bundle.e3.vertices == ("v", "w", "v~1", "v~2", "w~")
-    blue = {(e.src, e.rng) for e in bundle.e3.edges if e.id in bundle.witness.e21}
-    red = {(e.src, e.rng) for e in bundle.e3.edges if e.id in bundle.witness.e12}
+    assert bundle.witness.e3.vertices == ("v", "w", "v~1", "v~2", "w~")
+    blue = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e21}
+    red = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e12}
     assert blue == {("v", "v~1"), ("w", "v~2")}
     assert red == {("v~1", "v"), ("v~2", "v"), ("w~", "w")}
     assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
@@ -172,7 +170,7 @@ def test_insplit_witness_source_condition_exercised(fork):
     g = fork[0]
     spec = SplitSpec("insplit", {"x": (("e",),), "y": (("f",),), "z": (("g",),)})
     bundle = insplit_witness(g, spec)
-    e3 = bundle.e3
+    e3 = bundle.witness.e3
     sources = [v for v in e3.vertices if not e3.in_edges(v)]
     assert sources == ["w~"]
     report = verify_sse_witness(g, bundle.e2, bundle.witness)
@@ -298,8 +296,8 @@ def test_outsplit_trivial_random_round_trip():
 def test_outsplit_witness_fan_matches_figure(fan):
     g, _, spec = fan
     bundle = outsplit_witness(g, spec)
-    blue = {(e.src, e.rng) for e in bundle.e3.edges if e.id in bundle.witness.e21}
-    red = {(e.src, e.rng) for e in bundle.e3.edges if e.id in bundle.witness.e12}
+    blue = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e21}
+    red = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e12}
     assert blue == {("w", "w^1"), ("x", "x^1"), ("x", "x^2"), ("y", "y^"), ("z", "z^")}
     assert red == {("w^1", "w"), ("w^1", "x"), ("x^1", "y"), ("x^2", "z")}
     assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
@@ -400,15 +398,39 @@ def test_random_split_witnesses_verify():
         done += 1
 
 
+def _split_corpus() -> list[DirectedMultigraph]:
+    """Seeded small graphs that between them have sources, sinks, isolated
+    vertices and parallel edges."""
+    rng = random.Random(403)
+    graphs = [random_graph(rng, max_vertices=4, max_edges=6) for _ in range(60)]
+    ins = [{v for v in g.vertices if g.in_edges(v)} for g in graphs]
+    outs = [{v for v in g.vertices if g.out_edges(v)} for g in graphs]
+    assert any(o - i for i, o in zip(ins, outs))  # a source that emits
+    assert any(i - o for i, o in zip(ins, outs))  # a sink that receives
+    assert any(set(g.vertices) - i - o for g, i, o in zip(graphs, ins, outs))
+    assert any(len({(e.src, e.rng) for e in g.edges}) < len(g.edges) for g in graphs)
+    return graphs
+
+
 def test_enumerate_split_specs_all_valid(loop_feed):
     g, _, _ = loop_feed
     specs = list(enumerate_split_specs(g, 2))
-    assert all(validate_split_spec(g, s).valid for _, s in specs)
     kinds = {k for k, _ in specs}
     assert kinds == {"insplit", "outsplit"}
     # r^{-1}(v) = {a, b} gives two insplit partitions; v is the only
     # splittable vertex either way
     assert sum(1 for k, _ in specs if k == "insplit") == 2
+    # The chain search builds children from these specs without validating
+    # them again or comparing their trace profiles with the parent's.
+    for h in [g] + _split_corpus():
+        a = adjacency_matrix(h)
+        traces = [a.power(n).trace() for n in range(1, 5)]
+        for max_parts in (2, 3):
+            for kind, spec in enumerate_split_specs(h, max_parts):
+                assert validate_split_spec(h, spec).valid
+                build = _build_insplit if kind == "insplit" else _build_outsplit
+                b = adjacency_matrix(build(h, spec).graph)
+                assert [b.power(n).trace() for n in range(1, 5)] == traces
 
 
 def test_id_collision_handling():

@@ -204,23 +204,30 @@ def test_witness_from_essse_two_loops(two_loops):
 def test_witness_from_essse_identity():
     pair = EssePair(_mat([[1]]), _mat([[1]]), _mat([[1]]), _mat([[1]]))
     bundle = witness_from_essse(pair)
-    assert len(bundle.e3.vertices) == 2 and len(bundle.e3.edges) == 2
+    assert len(bundle.witness.e3.vertices) == 2 and len(bundle.witness.e3.edges) == 2
     assert verify_sse_witness(bundle.e1, bundle.e2, bundle.witness).passed
 
 
 def test_witness_from_essse_zero_row_condition4():
-    a = _mat([[1, 1], [0, 0]])
-    r = _mat([[1], [0]], rows=["0", "1"], cols=["k"])
-    s = _mat([[1, 1]], rows=["k"], cols=["0", "1"])
-    b = _mat([[1]], rows=["k"], cols=["k"])
-    assert matrix_essse_verify(EssePair(a, b, r, s))
-    with pytest.raises(WitnessConstructionError) as exc_info:
-        witness_from_essse(EssePair(a, b, r, s))
-    exc = exc_info.value
-    assert exc.vertex == "1"
-    report = verify_sse_witness(exc.bundle.e1, exc.bundle.e2, exc.bundle.witness)
-    assert not report.source_condition_ok
-    assert report.vertex_partition_ok and report.edge_bipartition_ok and report.theta_bijections_ok
+    # the second id holds a quote, which repr() wraps in double quotes
+    for offender in ("1", "x'y"):
+        a = _mat([[1, 1], [0, 0]], rows=["0", offender], cols=["0", offender])
+        r = _mat([[1], [0]], rows=["0", offender], cols=["k"])
+        s = _mat([[1, 1]], rows=["k"], cols=["0", offender])
+        b = _mat([[1]], rows=["k"], cols=["k"])
+        assert matrix_essse_verify(EssePair(a, b, r, s))
+        with pytest.raises(WitnessConstructionError) as exc_info:
+            witness_from_essse(EssePair(a, b, r, s))
+        exc = exc_info.value
+        assert exc.vertex == offender
+        eta = f"e21:{offender}:k:1"
+        assert str(exc) == (
+            f"source condition fails: source {offender!r}: "
+            f"its edge {eta!r} is not the only edge into 'k'"
+        )
+        report = verify_sse_witness(exc.bundle.e1, exc.bundle.e2, exc.bundle.witness)
+        assert not report.source_condition_ok
+        assert report.vertex_partition_ok and report.edge_bipartition_ok and report.theta_bijections_ok
 
 
 def test_witness_from_essse_requires_verified():

@@ -87,8 +87,8 @@ def test_transport_fan_witness(fan):
     g, f, spec = fan
     bundle = outsplit_witness(g, spec)
     h = EdgeFunction(
-        bundle.e3,
-        {eid: (f(eid.split(":", 1)[1]) if eid.startswith("e12:") else 0) for eid in bundle.e3.edge_ids()},
+        bundle.witness.e3,
+        {eid: (f(eid.split(":", 1)[1]) if eid.startswith("e12:") else 0) for eid in bundle.witness.e3.edge_ids()},
     )
     g2 = transport_g_from_h(bundle.witness, h)
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
@@ -306,7 +306,7 @@ def test_lift_agrees_with_brute_force_oracle():
                 bundle = outsplit_witness(g, random_outsplit_spec(rng, g, 2))
         except GraphError:
             continue
-        if len(bundle.e3.edges) > 8:
+        if len(bundle.witness.e3.edges) > 8:
             continue
         g2 = EdgeFunction(
             bundle.e2, {eid: rng.randint(-3, 3) for eid in bundle.e2.edge_ids()}
