@@ -52,6 +52,8 @@ CASES = {
     "matrix_verify_false": ["matrix-verify", "{mat_a}", "{mat_identity}", "{mat_r}", "{mat_s}"],
     "matrix_search_found": ["matrix-search", "{mat_a}", "{mat_b}", "--bound", "1"],
     "matrix_search_absent": ["matrix-search", "{mat_a}", "{mat_3}", "--bound", "3"],
+    "matrix_search_power_trace_mismatch": ["matrix-search", "{mat_b}", "{mat_upper}"],
+    "matrix_search_rect_found": ["matrix-search", "{mat_a}", "{mat_b}"],
     "chain_search_one_step": ["chain-search", "{loop}", "{loop_split}", "--max-steps", "1"],
     "chain_search_two_loops": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "1"],
     "chain_search_composite": ["chain-search", "{tl_e1}", "{tl_far}", "--max-steps", "3"],
@@ -59,6 +61,8 @@ CASES = {
     "chain_search_depth_bound": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "0"],
     "chain_search_exhausted": ["chain-search", "{edgeless1}", "{edgeless2}", "--max-steps", "3"],
     "invariants_profile": ["invariants", "{tl_e1}", "--n", "4"],
+    "invariants_profile_odd": ["invariants", "{cycles}", "--n", "5"],
+    "invariants_profile_n1": ["invariants", "{tl_e1}", "--n", "1"],
     "invariants_pass": ["invariants", "{tl_e1}", "{tl_e2}", "--n", "6"],
     "invariants_fail": ["invariants", "{tl_e1}", "{fork_e1}", "--n", "6"],
     "export_dot_graph": ["export", "{loop_f}", "--dot"],
@@ -126,10 +130,23 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "empty": '{"vertices": [], "edges": []}',
         "edgeless1": '{"vertices": ["u"], "edges": []}',
         "edgeless2": '{"vertices": ["u", "v"], "edges": []}',
+        "cycles": json.dumps({
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"id": "aa", "src": "a", "rng": "a"},
+                {"id": "ab", "src": "a", "rng": "b"},
+                {"id": "ba", "src": "b", "rng": "a"},
+                {"id": "bc", "src": "b", "rng": "c"},
+                {"id": "ca", "src": "c", "rng": "a"},
+                {"id": "cc", "src": "c", "rng": "c"},
+                {"id": "cc2", "src": "c", "rng": "c"},
+            ],
+        }),
         "mat_a": json.dumps({"entries": [[2]]}),
         "mat_b": json.dumps({"entries": [[1, 1], [1, 1]]}),
         "mat_3": json.dumps({"entries": [[3]]}),
         "mat_identity": json.dumps({"entries": [[1, 0], [0, 1]]}),
+        "mat_upper": json.dumps({"entries": [[1, 1], [0, 1]]}),
         "mat_r": json.dumps({"rows": ["0"], "cols": ["0", "1"], "entries": [[1, 1]]}),
         "mat_s": json.dumps({"rows": ["0", "1"], "cols": ["0"], "entries": [[1], [1]]}),
     }
