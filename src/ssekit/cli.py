@@ -282,9 +282,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        sys.stderr.write("error: --count must be nonnegative\n")
-        return EXIT_USAGE
+    for flag, ok, need in (
+        ("--count", args.count >= 0, "nonnegative"),
+        ("--max-vertices", args.max_vertices >= 1, "positive"),
+        ("--max-edges", args.max_edges >= 0, "nonnegative"),
+    ):
+        if not ok:
+            sys.stderr.write(f"error: {flag} must be {need}\n")
+            return EXIT_USAGE
     rng = random.Random(args.seed)
     graphs = [
         random_graph(rng, max_vertices=args.max_vertices, max_edges=args.max_edges)

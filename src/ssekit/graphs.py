@@ -263,14 +263,20 @@ class NonnegIntMatrix:
         return self.entries[self._ri[row_id]][self._ci[col_id]]  # type: ignore[attr-defined]
 
     def matmul(self, other: NonnegIntMatrix) -> NonnegIntMatrix:
-        """Positional matrix product; exact over Python ints."""
+        """Positional matrix product; exact over Python ints.
+
+        Row i of the product is the sum of x * (row l of ``other``) over the
+        nonzero entries x = self[i][l], so zeros of the left factor cost
+        nothing (Gustavson's row-by-row product).
+        """
         if self.ncols != other.nrows:
             raise GraphError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = [tuple(other.entries[k][j] for k in range(other.nrows)) for j in range(other.ncols)]
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries
-        )
-        return NonnegIntMatrix(self.rows, other.cols, prod)
+        zero = (0,) * other.ncols
+        prod = []
+        for row in self.entries:
+            terms = [r if x == 1 else [x * y for y in r] for x, r in zip(row, other.entries) if x]
+            prod.append(tuple(map(sum, zip(*terms))) if terms else zero)
+        return NonnegIntMatrix(self.rows, other.cols, tuple(prod))
 
     def power(self, n: int) -> NonnegIntMatrix:
         if not self.square:
@@ -285,6 +291,31 @@ class NonnegIntMatrix:
         for _ in range(n):
             result = result.matmul(self)
         return result
+
+    def power_traces(self, n_max: int) -> tuple[int, ...]:
+        """Exact traces tr(A^1) .. tr(A^n_max).
+
+        Only the powers up to h = ceil(n_max / 2) are built, as A * A^k with
+        the (typically sparse) A on the left: h - 1 products.  Each later
+        period m > h costs O(V^2), as tr(A^m) = sum over v, w of
+        A^h(v, w) * A^(m-h)(w, v).
+        """
+        if not self.square:
+            raise GraphError("power traces need a square matrix")
+        if n_max < 0:
+            raise GraphError("power traces need n_max >= 0")
+        if n_max == 0:
+            return ()
+        h = (n_max + 1) // 2
+        powers = [self]
+        for _ in range(h - 1):
+            powers.append(self.matmul(powers[-1]))
+        traces = [p.trace() for p in powers]
+        top = powers[-1].entries
+        for low in powers[: n_max - h]:
+            cols = zip(*low.entries)
+            traces.append(sum(x * y for row, col in zip(top, cols) for x, y in zip(row, col)))
+        return tuple(traces)
 
     def trace(self) -> int:
         if not self.square:

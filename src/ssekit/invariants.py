@@ -4,7 +4,8 @@ The number of bi-infinite edge sequences of period n equals the trace of the
 n-th power of the adjacency matrix.  Strong shift equivalence preserves every
 such trace (tr((RS)^n) = tr((SR)^n)), so disagreeing profiles rule a pair out;
 agreeing profiles prove nothing.  Traces grow exponentially, hence exact
-arbitrary-precision integers throughout.
+arbitrary-precision integers throughout.  A profile up to period n costs
+ceil(n/2) - 1 sparse matrix products (``NonnegIntMatrix.power_traces``).
 """
 
 from __future__ import annotations
@@ -45,13 +46,7 @@ def periodic_point_profile(g: DirectedMultigraph, n_max: int) -> PeriodicPointPr
     """Exact traces of adjacency-matrix powers 1 .. n_max."""
     if n_max < 1:
         raise GraphError("n_max must be at least 1")
-    a = adjacency_matrix(g)
-    traces = []
-    power = a
-    for _ in range(n_max):
-        traces.append(power.trace())
-        power = power.matmul(a)
-    return PeriodicPointProfile(n_max, tuple(traces))
+    return PeriodicPointProfile(n_max, adjacency_matrix(g).power_traces(n_max))
 
 
 def sse_invariant_filter(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -537,6 +537,13 @@ def matrix_essse_search(
     first verifying pair is returned; pruning (partial product bounds, exact
     column/row completion) only ever discards non-solutions.  The default
     entry bound is the largest entry of A and B.
+
+    Before any R is tried, the pair is refuted when tr(A^j) != tr(B^j) for
+    some j <= N = max(dim A, dim B): tr((RS)^j) = tr((SR)^j) for every j.
+    Stopping at N is complete.  The power sums p_1 .. p_N of a multiset of
+    at most N numbers determine its elementary symmetric functions (Newton's
+    identities), so equal traces up to N mean equal nonzero spectra, and
+    those fix every later trace.
     """
     if not a.square or not b.square:
         raise GraphError("search needs square A and B")
@@ -547,6 +554,10 @@ def matrix_essse_search(
                           b.total() and max(max(row) for row in b.entries) or 0)
     if entry_bound < 0:
         raise GraphError("entry bound must be nonnegative")
+    if a.power_traces(max(n, k)) != b.power_traces(max(n, k)):
+        return None
+    if n == 0 and b.total():
+        return None  # R*S is the empty A, but S*R is zero and B is not
     m = entry_bound
 
     a_rows_max = [max(row) if row else 0 for row in a.entries]
@@ -600,9 +611,20 @@ def matrix_essse_search(
 
         return s if place(0) else None
 
-    from itertools import product
+    def r_candidates() -> Iterator[tuple[int, ...]]:
+        """Every R in row-major lexicographic order, one at a time."""
+        digits = [0] * (n * k)
+        while True:
+            yield tuple(digits)
+            pos = len(digits) - 1
+            while pos >= 0 and digits[pos] == m:
+                digits[pos] = 0
+                pos -= 1
+            if pos < 0:
+                return
+            digits[pos] += 1
 
-    for r_flat in product(range(m + 1), repeat=n * k):
+    for r_flat in r_candidates():
         if not plausible_r(r_flat):
             continue
         s_entries = find_s(r_flat)

@@ -283,6 +283,22 @@ def test_matrix_search_absent(run, files):
     assert json.loads(out)["status"] == "absent"
 
 
+def test_matrix_search_empty_a_against_nonzero_b(run, files):
+    empty = _write(files["tmp"] / "empty.matrix", json.dumps({"entries": []}))
+    nilpotent = _write(files["tmp"] / "nil.matrix", json.dumps({"entries": [[0, 1], [0, 0]]}))
+    code, out, _ = run("matrix-search", empty, nilpotent)
+    assert code == 1
+    assert json.loads(out)["status"] == "absent"
+
+
+def test_matrix_search_huge_bound_is_lazy(run, files):
+    one = _write(files["tmp"] / "one.matrix", json.dumps({"entries": [[1]]}))
+    code, out, err = run("matrix-search", one, one, "--bound", "99999999999999999999")
+    code1, out1, _ = run("matrix-search", one, one, "--bound", "1")
+    assert code == code1 == 0
+    assert out == out1 and err == ""
+
+
 def test_chain_search_cli(run, files):
     code, out, _ = run("chain-search", files["loop"], files["loop"], "--max-steps", "0")
     assert code == 0
@@ -345,9 +361,15 @@ def test_usage_error_exit_2(run):
     assert code == 2
     code, _, _ = run("lift", "--witness", "missing.witness")  # missing required --g
     assert code == 2
-    code, out, err = run("corpus", "--count", "-1")
-    assert code == 2
-    assert out == "" and "error:" in err
+    for argv in (
+        ("--count", "-1"),
+        ("--max-vertices", "0"),
+        ("--max-vertices", "-2"),
+        ("--count", "2", "--max-edges", "-1"),
+    ):
+        code, out, err = run("corpus", *argv)
+        assert code == 2
+        assert out == "" and "error:" in err
 
 
 def test_console_entry_point(files):

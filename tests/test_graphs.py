@@ -240,6 +240,79 @@ def test_matrix_validation():
         NonnegIntMatrix.from_entries([[1, 2], [3]])
 
 
+# -- the exact trace kernel -----------------------------------------------------
+
+
+def _random_matrix(rng, nrows, ncols, density):
+    return NonnegIntMatrix(
+        tuple(f"r{i}" for i in range(nrows)),
+        tuple(f"c{j}" for j in range(ncols)),
+        tuple(
+            tuple(rng.randint(1, 4) if rng.random() < density else 0 for _ in range(ncols))
+            for _ in range(nrows)
+        ),
+    )
+
+
+def test_matmul_matches_naive_triple_loop():
+    rng = random.Random(23)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(80)]
+    zero_rows = zero_cols = all_zero = 0
+    for p, q, r in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a = _random_matrix(rng, p, q, density)
+            b = _random_matrix(rng, q, r, rng.choice((0.0, 0.3, 1.0)))
+            naive = tuple(
+                tuple(sum(a.entries[i][l] * b.entries[l][j] for l in range(q)) for j in range(r))
+                for i in range(p)
+            )
+            prod = a.matmul(b)
+            assert prod.entries == naive
+            assert prod.rows == a.rows and prod.cols == b.cols
+            zero_rows += sum(1 for row in a.entries if q and not any(row))
+            zero_cols += sum(1 for col in zip(*b.entries) if q and not any(col))
+            all_zero += p * q > 0 and a.total() == 0
+    assert zero_rows and zero_cols and all_zero
+    with pytest.raises(GraphError, match="cannot multiply"):
+        _random_matrix(rng, 2, 3, 0.5).matmul(_random_matrix(rng, 2, 3, 0.5))
+
+
+def test_power_traces_match_powers(fork, loop_feed, fan, two_loops, funnel):
+    rng = random.Random(29)
+    graphs = [*fork[:3], loop_feed[0], fan[0], *two_loops[:3], funnel[0]]
+    matrices = [adjacency_matrix(g) for g in graphs]
+    matrices += [_random_matrix(rng, v, v, d) for v in range(6) for d in (0.2, 0.5, 1.0)]
+    for a in matrices:
+        for n in range(10):
+            assert a.power_traces(n) == tuple(a.power(j).trace() for j in range(1, n + 1))
+
+
+def test_power_traces_builds_half_the_powers(monkeypatch):
+    calls = []
+    matmul = NonnegIntMatrix.matmul
+
+    def counting(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(NonnegIntMatrix, "matmul", counting)
+    a = NonnegIntMatrix.from_entries([[1, 1, 0], [1, 0, 1], [1, 0, 2]])
+    for n in range(1, 10):
+        calls.clear()
+        a.power_traces(n)
+        assert len(calls) == (n + 1) // 2 - 1
+
+
+def test_power_traces_arguments():
+    assert NonnegIntMatrix.from_entries([[3]]).power_traces(0) == ()
+    assert NonnegIntMatrix((), (), ()).power_traces(3) == (0, 0, 0)
+    with pytest.raises(GraphError, match="square"):
+        NonnegIntMatrix.from_entries([[1, 2]]).power_traces(2)
+    with pytest.raises(GraphError, match="n_max"):
+        NonnegIntMatrix.from_entries([[1]]).power_traces(-1)
+
+
 # -- path weights ---------------------------------------------------------------
 
 

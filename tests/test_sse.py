@@ -274,6 +274,15 @@ def test_matrix_search_result_always_verifies():
             for n_pow in range(1, 7):
                 assert a.power(n_pow).trace() == b.power(n_pow).trace()
     assert hits > 0
+    empty = _mat([])
+    for k in range(3):
+        for flat in itertools.product(range(2), repeat=k * k):
+            b = _mat([list(flat[i * k : (i + 1) * k]) for i in range(k)])
+            for a, bb in ((empty, b), (b, empty)):
+                found = matrix_essse_search(a, bb, 2)
+                assert (found is not None) == (b.total() == 0)
+                if found is not None:
+                    assert matrix_essse_verify(EssePair(a, bb, found[0], found[1]))
 
 
 def test_matrix_search_agrees_with_unpruned_brute_force():
@@ -289,15 +298,88 @@ def test_matrix_search_agrees_with_unpruned_brute_force():
                     return r, s
         return None
 
-    for a_flat in itertools.product(range(2), repeat=4):
+    def agree(a, b, m):
+        expected = brute(a, b, m)
+        got = matrix_essse_search(a, b, m)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got[0] == expected[0] and got[1] == expected[1]
+        return got is not None
+
+    twos = [_mat([list(f[:2]), list(f[2:])]) for f in itertools.product(range(2), repeat=4)]
+    for a in twos:
         for b_flat in itertools.product(range(2), repeat=1):
-            a = _mat([list(a_flat[:2]), list(a_flat[2:])])
-            b = _mat([[b_flat[0]]])
-            expected = brute(a, b, 1)
-            got = matrix_essse_search(a, b, 1)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got[0] == expected[0] and got[1] == expected[1]
+            agree(a, _mat([[b_flat[0]]]), 1)
+
+    def det(x):
+        (p, q), (r, s) = x.entries
+        return p * s - q * r
+
+    # equal traces, unequal determinants: tr(A^2) differs, so never found
+    unequal = [(a, b) for a in twos for b in twos if a.trace() == b.trace() and det(a) != det(b)]
+    assert len(unequal) > 20
+    assert not any(agree(a, b, 1) for a, b in unequal)
+    # 1x1 against 2x2, both ways round
+    found = sum(agree(_mat([[x]]), b, 2) + agree(b, _mat([[x]]), 2) for x in range(3) for b in twos)
+    assert found > 4
+
+
+def test_matrix_search_empty_a_needs_zero_b():
+    empty = _mat([])
+    assert matrix_essse_search(empty, _mat([[0, 1], [0, 0]])) is None
+    zero = _mat([[0, 0], [0, 0]])
+    r, s = matrix_essse_search(empty, zero)
+    assert (r.nrows, r.ncols, s.nrows, s.ncols) == (0, 2, 2, 0)
+    assert matrix_essse_verify(EssePair(empty, zero, r, s))
+
+
+def test_matrix_search_refutes_before_enumerating():
+    # tr(A) = tr(B) but tr(A^2) != tr(B^2): refuted before any of the
+    # (10^20 + 1)^2 candidates for R is tried
+    assert matrix_essse_search(_mat([[2]]), _mat([[1, 0], [0, 1]]), 10**20) is None
+
+
+def test_matrix_search_argument_errors_come_before_refutation():
+    # every pair below also has unequal traces
+    with pytest.raises(GraphError, match="square"):
+        matrix_essse_search(_mat([[1, 2]]), _mat([[5]]))
+    with pytest.raises(GraphError, match="square"):
+        matrix_essse_search(_mat([[5]]), _mat([[1, 2]]))
+    with pytest.raises(GraphError, match="nonnegative"):
+        matrix_essse_search(_mat([[2]]), _mat([[3]]), -1)
+
+
+def _random_pairs(rng):
+    """Seeded square pairs up to 3x3: random ones, and R*S against S*R."""
+    for _ in range(150):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            r = [[rng.randint(0, 2) for _ in range(k)] for _ in range(n)]
+            s = [[rng.randint(0, 2) for _ in range(n)] for _ in range(k)]
+            yield _mat(r).matmul(_mat(s)), _mat(s).matmul(_mat(r))
+        else:
+            yield (_mat([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]),
+                   _mat([[rng.randint(0, 2) for _ in range(k)] for _ in range(k)]))
+
+
+def test_power_trace_refutation_matches_nonzero_spectrum():
+    # traces up to max(n, k) agree exactly when the characteristic
+    # polynomials agree once their factors of x are removed
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def nonzero_charpoly(m):
+        coeffs = sympy.Matrix(m.entries).charpoly(x).all_coeffs()
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
+    agreements = 0
+    for a, b in _random_pairs(random.Random(41)):
+        same = a.power_traces(max(a.nrows, b.nrows)) == b.power_traces(max(a.nrows, b.nrows))
+        assert same == (nonzero_charpoly(a) == nonzero_charpoly(b))
+        agreements += same
+    assert 50 < agreements < 150
 
 
 def test_witness_from_random_factorizations():
