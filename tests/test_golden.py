@@ -60,6 +60,8 @@ CASES = {
     "chain_search_invariant_mismatch": ["chain-search", "{tl_e1}", "{empty}", "--max-steps", "1"],
     "chain_search_depth_bound": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "0"],
     "chain_search_exhausted": ["chain-search", "{edgeless1}", "{edgeless2}", "--max-steps", "3"],
+    "chain_search_vertex_bound_cut": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-vertices", "1"],
+    "chain_search_root_over_bound": ["chain-search", "{edgeless2}", "{edgeless1}", "--max-vertices", "1"],
     "invariants_profile": ["invariants", "{tl_e1}", "--n", "4"],
     "invariants_profile_odd": ["invariants", "{cycles}", "--n", "5"],
     "invariants_profile_n1": ["invariants", "{tl_e1}", "--n", "1"],
