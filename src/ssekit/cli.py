@@ -1,9 +1,10 @@
 """Command-line surface over the file formats.
 
 Exit codes: 0 success, 1 negative mathematical result (failed verification,
-infeasible lift, nothing found within bounds), 2 usage or input error.
-Negative results always come with a machine-readable reason on stdout;
-diagnostics go to stderr.
+infeasible lift, nothing found within bounds), 2 usage or input error, 3
+internal error (a bug in ssekit: one ``internal error:`` line on stderr, no
+traceback).  Negative results always come with a machine-readable reason on
+stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .graphs import (
     classify_vertices,
     graph_to_json_obj,
     parse_graph_with_weights,
+    parse_json,
     to_dot,
 )
 from .invariants import periodic_point_profile, sse_invariant_filter
@@ -49,6 +51,7 @@ from .weights import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _read(path: str) -> str:
@@ -57,13 +60,16 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read {path}: not UTF-8 text: {exc}") from None
 
 
 def _load_json(path: str) -> object:
+    text = _read(path)
     try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}: invalid JSON: {exc}") from None
+        return parse_json(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _load_graph(path: str) -> tuple[DirectedMultigraph, EdgeFunction | None]:
@@ -406,6 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a bug, never a mathematical result
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"internal error: {detail}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

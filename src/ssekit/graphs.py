@@ -421,12 +421,18 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
     return g, EdgeFunction(g, weight_map)
 
 
-def parse_graph_with_weights(text: str) -> tuple[DirectedMultigraph, EdgeFunction | None]:
+def parse_json(text: str) -> object:
+    """``json.loads``, with malformed or too deeply nested text as an input error."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return graph_from_json_obj(obj)
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
+
+
+def parse_graph_with_weights(text: str) -> tuple[DirectedMultigraph, EdgeFunction | None]:
+    return graph_from_json_obj(parse_json(text))
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
@@ -655,7 +661,13 @@ def canonical_key(g: DirectedMultigraph) -> tuple:
     m = [[0] * n for _ in range(n)]
     for e in g.edges:
         m[idx[e.src]][idx[e.rng]] += 1
+    return canonical_key_of_counts(m)
 
+
+def canonical_key_of_counts(m: Sequence[Sequence[int]]) -> tuple:
+    """``canonical_key`` of the graph whose count matrix is ``m``:
+    ``m[i][j]`` edges from vertex i to vertex j, in any vertex order."""
+    n = len(m)
     best: list[int] | None = None
 
     def layer_of(perm: list[int], v: int) -> list[int]:

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import DirectedMultigraph, GraphError, canonical_key, graph_to_json_obj
+from .graphs import (
+    DirectedMultigraph,
+    GraphError,
+    canonical_key,
+    canonical_key_of_counts,
+    graph_to_json_obj,
+)
 from .invariants import sse_invariant_filter
 from .splits import (
     SplitSpec,
     _build_insplit,
     _build_outsplit,
     enumerate_split_specs,
-    split_vertex_count,
+    split_counter,
+    widest_split_vertex_count,
 )
 
 
@@ -93,16 +100,17 @@ class _SearchSide:
             new_layer: list[tuple] = []
             for key in frontier:
                 g = self.states[key].graph
-                for move, spec in enumerate_split_specs(g, self.max_parts):
-                    if split_vertex_count(g, spec) > self.max_vertices:
-                        self.truncated = True
+                if widest_split_vertex_count(g, self.max_parts) > self.max_vertices:
+                    self.truncated = True
+                counts = split_counter(g)
+                for move, spec in enumerate_split_specs(g, self.max_parts, self.max_vertices):
+                    # keyed from its count matrix; built only when new
+                    child_key = canonical_key_of_counts(counts(spec))
+                    if child_key in self.states:
                         continue
                     # enumerate_split_specs yields only valid specs
                     build = _build_insplit if move == "insplit" else _build_outsplit
                     child = build(g, spec).graph
-                    child_key = canonical_key(child)
-                    if child_key in self.states:
-                        continue
                     self.states[child_key] = _State(child, key, move, spec)
                     new_layer.append(child_key)
             self.layers.append(new_layer)
@@ -137,9 +145,11 @@ def sse_chain_search(
     The bounds are the only throttle: the number of split specs per state is
     the product of per-vertex partition counts, so graphs with fat in/out
     bundles explode combinatorially -- tighten the bounds before probing
-    dense graphs.  Depth pairs are explored balanced-first within each total
-    step count, so one-sided deep expansion happens only when nothing
-    shallower meets.
+    dense graphs.  ``max_vertices`` is applied inside that product, so specs
+    over it are never built; each remaining child is keyed from its count
+    matrix, computed from the parent's, and built only when the key is new.
+    Depth pairs are explored balanced-first within each total step count, so
+    one-sided deep expansion happens only when nothing shallower meets.
     """
     if max_steps < 0:
         raise GraphError("max_steps must be nonnegative")

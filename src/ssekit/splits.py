@@ -20,9 +20,9 @@ edges) that drive weight transport.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -30,6 +30,7 @@ from .graphs import (
     EdgeFunction,
     GraphError,
     GraphFormatError,
+    parse_json,
 )
 from .sse import SseWitness, _fresh_ids
 from .weights import weights_from_f_E12
@@ -86,13 +87,7 @@ class SplitSpec:
 
 
 def parse_split_spec(text: str) -> SplitSpec:
-    import json
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return SplitSpec.from_json_obj(obj)
+    return SplitSpec.from_json_obj(parse_json(text))
 
 
 @dataclass
@@ -444,19 +439,115 @@ def _set_partitions(items: Sequence[str], max_parts: int) -> list[tuple[tuple[st
     return out
 
 
-def enumerate_split_specs(g: DirectedMultigraph, max_parts: int) -> Iterator[tuple[str, SplitSpec]]:
+def _mapped_fibers(g: DirectedMultigraph, kind: str) -> list[tuple[str, tuple[Edge, ...]]]:
+    """The vertices a valid spec of ``kind`` partitions, each with the edges
+    it partitions: receivers and their in-edges for an insplit, vertices that
+    both receive and emit and their out-edges for an outsplit."""
+    if kind == "insplit":
+        return [(v, g.in_edges(v)) for v in g.vertices if g.in_edges(v)]
+    return [(v, g.out_edges(v)) for v in g.vertices if g.in_edges(v) and g.out_edges(v)]
+
+
+def enumerate_split_specs(
+    g: DirectedMultigraph, max_parts: int, max_vertices: int | None = None
+) -> Iterator[tuple[str, SplitSpec]]:
     """Every valid insplit spec, then every valid outsplit spec, in the
-    deterministic product order of per-vertex partitions."""
-    in_mapped = [v for v in g.vertices if g.in_edges(v)]
-    in_choices = [_set_partitions([e.id for e in g.in_edges(v)], max_parts) for v in in_mapped]
-    for combo in itertools.product(*in_choices):
-        yield "insplit", SplitSpec("insplit", dict(zip(in_mapped, combo)))
-    out_mapped = [v for v in g.vertices if g.in_edges(v) and g.out_edges(v)]
-    out_choices = [_set_partitions([e.id for e in g.out_edges(v)], max_parts) for v in out_mapped]
-    for combo in itertools.product(*out_choices):
-        yield "outsplit", SplitSpec("outsplit", dict(zip(out_mapped, combo)))
+    deterministic product order of per-vertex partitions.
+
+    With ``max_vertices``, only the specs whose split graph has at most that
+    many vertices, in the same order: a partial product is dropped as soon as
+    its classes, plus one for each vertex still to choose, exceed the bound,
+    so no spec over the bound is ever built.  Partitions too wide to fit even
+    beside single classes everywhere else are not generated at all; dropping
+    them keeps the order of the rest.
+    """
+    for kind in ("insplit", "outsplit"):
+        fibers = _mapped_fibers(g, kind)
+        mapped = [v for v, _ in fibers]
+        budget = math.inf if max_vertices is None else max_vertices - (len(g.vertices) - len(mapped))
+        widest = min(max_parts, budget - len(mapped) + 1)
+        choices = [_set_partitions([e.id for e in es], widest) for _, es in fibers]
+        for combo in _bounded_product(choices, budget):
+            yield kind, SplitSpec(kind, dict(zip(mapped, combo)))
+
+
+def _bounded_product(
+    choices: list[list[tuple[tuple[str, ...], ...]]], budget: float
+) -> Iterator[tuple[tuple[tuple[str, ...], ...], ...]]:
+    """``itertools.product(*choices)`` in its order, keeping the combos whose
+    class counts sum to at most ``budget``.  Every partition has at least one
+    class."""
+    last = len(choices)
+    combo: list[tuple[tuple[str, ...], ...]] = []
+
+    def extend(i: int, left: float) -> Iterator[tuple[tuple[tuple[str, ...], ...], ...]]:
+        if i == last:
+            yield tuple(combo)
+            return
+        spare = left - (last - i - 1)  # each later vertex takes a class at least
+        for partition in choices[i]:
+            if len(partition) <= spare:
+                combo.append(partition)
+                yield from extend(i + 1, left - len(partition))
+                combo.pop()
+
+    if budget >= last:
+        yield from extend(0, budget)
+
+
+def widest_split_vertex_count(g: DirectedMultigraph, max_parts: int) -> int:
+    """The most vertices a split of ``g`` with at most ``max_parts`` classes
+    per vertex can have, over both kinds: each partitioned vertex takes as
+    many classes as it has edges, up to ``max_parts``.  ``g`` has a spec over
+    a vertex bound exactly when this exceeds it."""
+    return max(
+        len(g.vertices) - len(fibers) + sum(min(max_parts, len(es)) for _, es in fibers)
+        for fibers in (_mapped_fibers(g, "insplit"), _mapped_fibers(g, "outsplit"))
+    )
 
 
 def split_vertex_count(g: DirectedMultigraph, spec: SplitSpec) -> int:
     """Vertex count of the split graph: sum of max(m(v), 1)."""
     return sum(max(spec.m(v), 1) for v in g.vertices)
+
+
+def split_counter(g: DirectedMultigraph) -> Callable[[SplitSpec], list[list[int]]]:
+    """``counts(spec)``: the count matrix of ``g``'s split by a valid
+    spec, ``counts[i][j]`` edges from copy i to copy j, copies in the order
+    ``_build_insplit`` / ``_build_outsplit`` give them.  It works on vertex and
+    edge positions and builds neither ids nor a graph, so a search can key a
+    child before deciding to build it."""
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    eidx = {e.id: k for k, e in enumerate(g.edges)}
+    ends = [(vidx[e.src], vidx[e.rng]) for e in g.edges]
+    n = len(g.vertices)
+
+    def counts(spec: SplitSpec) -> list[list[int]]:
+        copies = [1] * n
+        cls = [0] * len(ends)  # 0-based class of each edge in its partitioned fiber
+        for v, classes in spec.parts.items():
+            copies[vidx[v]] = len(classes)
+            for i, members in enumerate(classes):
+                for eid in members:
+                    cls[eidx[eid]] = i
+        first = [0] * n
+        total = 0
+        for i in range(n):
+            first[i] = total
+            total += copies[i]
+        m = [[0] * total for _ in range(total)]
+        if spec.kind == "insplit":
+            # a copy of the edge at every copy of its source, into its class at the range
+            for k, (s, r) in enumerate(ends):
+                col = first[r] + cls[k]
+                for row in range(first[s], first[s] + copies[s]):
+                    m[row][col] += 1
+        else:
+            # from its class at the source, a copy into every copy of the range
+            for k, (s, r) in enumerate(ends):
+                row = m[first[s] + cls[k]]
+                for col in range(first[r], first[r] + copies[r]):
+                    row[col] += 1
+        return m
+
+    return counts

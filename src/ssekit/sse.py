@@ -16,7 +16,6 @@ graph with S counting side1-to-side2 edges and R the reverse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .graphs import (
     graph_from_json_obj,
     graph_from_matrix,
     graph_to_json_obj,
+    parse_json,
     paths_between,
 )
 
@@ -415,11 +415,7 @@ def witness_from_json_obj(obj: object) -> SseWitness:
 
 
 def parse_witness(text: str) -> SseWitness:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return witness_from_json_obj(obj)
+    return witness_from_json_obj(parse_json(text))
 
 
 # -- matrix formulation ------------------------------------------------------

@@ -97,6 +97,43 @@ def test_validate_malformed_is_usage_error(run, files):
     assert "error:" in err
 
 
+def test_validate_non_utf8_is_usage_error(run, files):
+    bad = files["tmp"] / "utf16.graph"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run("validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_deeply_nested_json_is_usage_error(run, files):
+    # json.loads gives up on this with a RecursionError, at every decode site
+    deep = _write(files["tmp"] / "deep.json", "[" * 200000 + "]" * 200000)
+    for argv in (
+        ("validate", deep),  # graphs.parse_graph_with_weights
+        ("matrix-verify", deep, deep, deep, deep),  # cli._load_json
+        ("insplit", files["loop"], "--spec", deep),  # splits.parse_split_spec
+        ("sse-verify", files["fork_e1"], files["fork_e2"], "--witness", deep),  # sse.parse_witness
+    ):
+        code, out, err = run(*argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_unexpected_exception_is_internal_error(run, files, monkeypatch):
+    import ssekit.cli
+
+    def broken(args):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(ssekit.cli, "cmd_validate", broken)
+    code, out, err = run("validate", files["fork_e1"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom on two lines\n"
+
+
 def test_classify(run, files):
     code, out, _ = run("classify", files["fork_e1"])
     assert code == 0

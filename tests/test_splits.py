@@ -28,11 +28,14 @@ from ssekit.corpus import (
     random_insplit_spec,
     random_outsplit_spec,
 )
+from ssekit.graphs import canonical_key, canonical_key_of_counts
 from ssekit.splits import (
     _build_insplit,
     _build_outsplit,
     enumerate_split_specs,
+    split_counter,
     split_vertex_count,
+    widest_split_vertex_count,
 )
 
 
@@ -431,6 +434,46 @@ def test_enumerate_split_specs_all_valid(loop_feed):
                 build = _build_insplit if kind == "insplit" else _build_outsplit
                 b = adjacency_matrix(build(h, spec).graph)
                 assert [b.power(n).trace() for n in range(1, 5)] == traces
+
+
+def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
+    # The vertex bound is applied inside the product: what comes out must be
+    # exactly the unbounded specs that fit, in the same order (the first spec
+    # to reach a key decides the legs a chain search prints).
+    checked = 0
+    # an edgeless root has no vertex to partition: its one (identity) spec
+    # per kind keeps every vertex, and is over the bound below |V|
+    edgeless = DirectedMultigraph(("u", "v"), ())
+    for g in [loop_feed[0], edgeless] + _split_corpus():
+        for max_parts in (2, 3):
+            specs = list(enumerate_split_specs(g, max_parts))
+            for bound in range(1, len(g.vertices) + 4):
+                fitting = [s for s in specs if split_vertex_count(g, s[1]) <= bound]
+                assert list(enumerate_split_specs(g, max_parts, bound)) == fitting
+                over = any(split_vertex_count(g, s[1]) > bound for s in specs)
+                assert (widest_split_vertex_count(g, max_parts) > bound) == over
+                checked += 1
+    assert checked > 500
+
+
+def test_split_counts_match_the_built_graph(loop_feed, two_loops):
+    # The chain search keys each child from split_counter's matrix and builds
+    # the graph only for new keys; the two must describe the same graph.
+    specs_seen = 0
+    for g in [loop_feed[0], two_loops[0], two_loops[2]] + _split_corpus():
+        counts = split_counter(g)
+        for max_parts in (2, 3):
+            for kind, spec in enumerate_split_specs(g, max_parts):
+                child = (_build_insplit if kind == "insplit" else _build_outsplit)(g, spec).graph
+                idx = {v: i for i, v in enumerate(child.vertices)}
+                built = [[0] * len(idx) for _ in idx]
+                for e in child.edges:
+                    built[idx[e.src]][idx[e.rng]] += 1
+                m = counts(spec)
+                assert m == built
+                assert canonical_key_of_counts(m) == canonical_key(child)
+                specs_seen += 1
+    assert specs_seen > 1000
 
 
 def test_id_collision_handling():

@@ -26,7 +26,15 @@ from ssekit import (
     witness_from_essse,
     witness_to_json_obj,
 )
-from ssekit.splits import insplit_apply, outsplit_apply
+from ssekit import search
+from ssekit.splits import (
+    _build_insplit,
+    _build_outsplit,
+    enumerate_split_specs,
+    insplit_apply,
+    outsplit_apply,
+    split_vertex_count,
+)
 
 
 # -- witness verification -----------------------------------------------------
@@ -619,6 +627,57 @@ def test_chain_search_space_exhausted():
     assert result.status == "absent"
     assert result.reason == "search-space-exhausted"
     assert not result.truncated_by_vertex_bound
+
+
+class _UnboundedEnumerationSide(search._SearchSide):
+    """Chain search as it was before the vertex bound moved into the
+    enumeration: build every child, key the built graph, and flag a spec as
+    truncated when its split graph is over the bound."""
+
+    def expand_to(self, depth):
+        while len(self.layers) <= depth:
+            new_layer = []
+            for key in self.layers[-1]:
+                g = self.states[key].graph
+                for move, spec in enumerate_split_specs(g, self.max_parts):
+                    if split_vertex_count(g, spec) > self.max_vertices:
+                        self.truncated = True
+                        continue
+                    build = _build_insplit if move == "insplit" else _build_outsplit
+                    child = build(g, spec).graph
+                    child_key = canonical_key(child)
+                    if child_key not in self.states:
+                        self.states[child_key] = search._State(child, key, move, spec)
+                        new_layer.append(child_key)
+            self.layers.append(new_layer)
+
+
+def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
+    from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
+
+    rng = random.Random(404)
+    edgeless = [DirectedMultigraph(("u", "v"), ()), DirectedMultigraph(("u",), ())]
+    pairs = [(two_loops[0], two_loops[1]), (edgeless[0], edgeless[1])]
+    while len(pairs) < 40:
+        g = random_graph(rng, max_vertices=4, max_edges=5)
+        if not g.edges:
+            continue
+        split = random_insplit_spec if len(pairs) % 2 else random_outsplit_spec
+        h = (insplit_apply if len(pairs) % 2 else outsplit_apply)(g, split(rng, g, 2)).graph
+        pairs.append((g, h) if len(pairs) % 3 else (h, g))
+    outcomes = []
+    for e1, e2 in pairs:
+        for max_vertices in range(1, 6):
+            for max_steps in (1, 2):
+                args = (e1, e2, max_steps, max_vertices)
+                fast = sse_chain_search(*args).to_json_obj()
+                with monkeypatch.context() as m:
+                    m.setattr(search, "_SearchSide", _UnboundedEnumerationSide)
+                    slow = sse_chain_search(*args).to_json_obj()
+                assert fast == slow, args
+                outcomes.append((fast["status"], fast["truncated_by_vertex_bound"]))
+    # the corpus reaches every combination of found/absent and truncated or not
+    assert set(outcomes) == {(s, t) for s in ("found", "absent") for t in (True, False)}
 
 
 def test_chain_search_bounds_validated(fork):
