@@ -73,8 +73,9 @@ def _load_json(path: str) -> object:
 
 
 def _load_graph(path: str) -> tuple[DirectedMultigraph, EdgeFunction | None]:
+    text = _read(path)
     try:
-        return parse_graph_with_weights(_read(path))
+        return parse_graph_with_weights(text)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 

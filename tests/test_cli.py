@@ -104,6 +104,7 @@ def test_validate_non_utf8_is_usage_error(run, files):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "UTF-8" in err
+    assert err.count(str(bad)) == 1
 
 
 def test_deeply_nested_json_is_usage_error(run, files):

@@ -630,9 +630,9 @@ def test_chain_search_space_exhausted():
 
 
 class _UnboundedEnumerationSide(search._SearchSide):
-    """Chain search as it was before the vertex bound moved into the
-    enumeration: build every child, key the built graph, and flag a spec as
-    truncated when its split graph is over the bound."""
+    """Reference expansion: enumerate every spec, flag the search as
+    truncated for each spec whose split graph is over the bound, build every
+    other child and key the built graph."""
 
     def expand_to(self, depth):
         while len(self.layers) <= depth:
