@@ -570,123 +570,122 @@ class GraphIsomorphism:
     edge_map: Mapping[str, str]
 
 
-def _vertex_invariant(g: DirectedMultigraph, v: str) -> tuple:
-    out_bundles = sorted(
-        sum(1 for e in g.out_edges(v) if e.rng == w) for w in g.vertices if any(e.rng == w for e in g.out_edges(v))
-    )
-    in_bundles = sorted(
-        sum(1 for e in g.in_edges(v) if e.src == w) for w in g.vertices if any(e.src == w for e in g.in_edges(v))
-    )
-    loops = sum(1 for e in g.out_edges(v) if e.rng == v)
-    return (len(g.in_edges(v)), len(g.out_edges(v)), loops, tuple(in_bundles), tuple(out_bundles))
+def _count_matrix(g: DirectedMultigraph) -> list[list[int]]:
+    """``m[i][j]`` edges from vertex i to vertex j, in vertex order."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    m = [[0] * len(idx) for _ in idx]
+    for e in g.edges:
+        m[idx[e.src]][idx[e.rng]] += 1
+    return m
 
 
-def _bundle_count(g: DirectedMultigraph, u: str, v: str) -> int:
-    return sum(1 for e in g.out_edges(u) if e.rng == v)
+def _refine(colour: list[int], out: list[list[tuple[int, int]]], inn: list[list[tuple[int, int]]]) -> list[int]:
+    """Split cells by signature until none splits or all are singletons.
+
+    A colour is the position where its cell starts.  A signature is the
+    vertex's colour, then its sorted out- and in-bundles, k edges to colour c
+    coded k * n + c.  Old cells keep their place, so refining commutes with
+    relabelling."""
+    n = len(colour)
+    cells = len(set(colour))
+    while cells < n:
+        sig = [
+            (colour[v], sorted([k + colour[w] for w, k in out[v]]), sorted([k + colour[w] for w, k in inn[v]]))
+            for v in range(n)
+        ]
+        new, prev, split = colour[:], None, 0
+        for i, v in enumerate(sorted(range(n), key=sig.__getitem__)):
+            if sig[v] != prev:
+                prev, start, split = sig[v], i, split + 1
+            new[v] = start
+        if split == cells:
+            break
+        colour, cells = new, split
+    return colour
+
+
+def _canonical_labelling(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[int]]:
+    """``(key, order)``: n and the least row-major ``m`` over the search's
+    leaves, and the vertex order of a leaf that attains it.
+
+    Colour refinement plus individualisation (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  A discrete colouring is a leaf; any other
+    node individualises each vertex of its first smallest non-singleton cell.
+    A leaf equal to the best gives an automorphism: siblings in one orbit of
+    those fixing the node's path are skipped, and the search jumps back to
+    where the two leaves' paths diverge.  Recursion is as deep as a path."""
+    n = len(m)
+    out = [[(w, k * n) for w, k in enumerate(row) if k] for row in m]
+    inn = [[(u, k * n) for u, k in enumerate(col) if k] for col in zip(*m)]
+    autos: list[list[int]] = []
+    best: list = []  # key, order and path of the least leaf so far
+
+    def orbit(v: int, path: list[int]) -> set[int]:
+        fixing = [a for a in autos if all(a[p] == p for p in path)]
+        seen, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            todo += {a[x] for a in fixing} - seen
+            seen.update(todo)
+        return seen
+
+    def search(colour: list[int], path: list[int]) -> int | None:
+        """Explore a node; return the depth to jump back to, if any."""
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            order = sorted(range(n), key=colour.__getitem__)
+            key = tuple([m[a][b] for a in order for b in order])
+            if not best or key < best[0]:
+                best[:] = key, order, path
+            elif key == best[0]:
+                autos.append([b for _, b in sorted(zip(best[1], order))])
+                return next(d for d, (a, b) in enumerate(zip(path, best[2])) if a != b)
+            return None
+        start = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)[1]
+        tried: list[int] = []
+        for v in cells[start]:
+            if autos and not orbit(v, path).isdisjoint(tried):
+                continue
+            tried.append(v)
+            child = [start + 1 if c == start and w != v else c for w, c in enumerate(colour)]
+            back = search(_refine(child, out, inn), path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    search(_refine([0] * n, out, inn), [])
+    return (n, *best[0]), best[1]
 
 
 def is_isomorphic(g1: DirectedMultigraph, g2: DirectedMultigraph) -> GraphIsomorphism | None:
-    """First multigraph isomorphism in canonical search order, or None.
-
-    Backtracks over vertex maps in g1 vertex order, pruning candidates whose
-    in/out-degree invariants differ; the edge bijection pairs parallel edges
-    id-sorted within each bundle.
-    """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    """A multigraph isomorphism from g1 to g2, or None: the two canonical
+    vertex orders matched position by position, and parallel edges paired
+    id-sorted within each bundle.  Under automorphisms, which isomorphism
+    comes back is deterministic but otherwise unspecified."""
+    key1, order1 = _canonical_labelling(_count_matrix(g1))
+    key2, order2 = _canonical_labelling(_count_matrix(g2))
+    if key1 != key2:
         return None
-    inv1 = {v: _vertex_invariant(g1, v) for v in g1.vertices}
-    inv2 = {v: _vertex_invariant(g2, v) for v in g2.vertices}
-    if sorted(inv1.values()) != sorted(inv2.values()):
-        return None
-
-    order = list(g1.vertices)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        u = order[k]
-        for cand in g2.vertices:
-            if cand in used or inv1[u] != inv2[cand]:
-                continue
-            ok = True
-            for prev_u, prev_c in mapping.items():
-                if _bundle_count(g1, u, prev_u) != _bundle_count(g2, cand, prev_c):
-                    ok = False
-                    break
-                if _bundle_count(g1, prev_u, u) != _bundle_count(g2, prev_c, cand):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if _bundle_count(g1, u, u) != _bundle_count(g2, cand, cand):
-                continue
-            mapping[u] = cand
-            used.add(cand)
-            if extend(k + 1):
-                return True
-            del mapping[u]
-            used.remove(cand)
-        return False
-
-    if not extend(0):
-        return None
-
-    edge_map: dict[str, str] = {}
-    bundles1: dict[tuple[str, str], list[str]] = {}
-    bundles2: dict[tuple[str, str], list[str]] = {}
-    for e in g1.edges:
-        bundles1.setdefault((e.src, e.rng), []).append(e.id)
-    for e in g2.edges:
-        bundles2.setdefault((e.src, e.rng), []).append(e.id)
-    for (u, v), ids in bundles1.items():
-        targets = bundles2[(mapping[u], mapping[v])]
-        for a, b in zip(sorted(ids), sorted(targets)):
-            edge_map[a] = b
-    return GraphIsomorphism(dict(mapping), edge_map)
+    mapping = {g1.vertices[a]: g2.vertices[b] for a, b in zip(order1, order2)}
+    targets: dict[tuple[str, str], list[str]] = {}
+    for e in sorted(g2.edges, key=lambda e: e.id, reverse=True):
+        targets.setdefault((e.src, e.rng), []).append(e.id)
+    edge_map = {
+        e.id: targets[(mapping[e.src], mapping[e.rng])].pop() for e in sorted(g1.edges, key=lambda e: e.id)
+    }
+    return GraphIsomorphism(mapping, edge_map)
 
 
-def canonical_key(g: DirectedMultigraph) -> tuple:
-    """An isomorphism-invariant key: the minimal layered flattening of the
-    adjacency count matrix over all vertex orderings.
-
-    Vertex k's layer lists its counts against vertices 0..k (row, then
-    column); minimizing the concatenated layers by branch and bound gives a
-    complete invariant for finite multigraphs, cheap at the small orders the
-    chain search works with.
-    """
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    m = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        m[idx[e.src]][idx[e.rng]] += 1
-    return canonical_key_of_counts(m)
+def canonical_key(g: DirectedMultigraph) -> tuple[int, ...]:
+    """A complete isomorphism invariant, a hashable and totally ordered tuple
+    of ints: the vertex count, then the count matrix row by row in canonical
+    vertex order (``_canonical_labelling``)."""
+    return _canonical_labelling(_count_matrix(g))[0]
 
 
-def canonical_key_of_counts(m: Sequence[Sequence[int]]) -> tuple:
+def canonical_key_of_counts(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """``canonical_key`` of the graph whose count matrix is ``m``:
     ``m[i][j]`` edges from vertex i to vertex j, in any vertex order."""
-    n = len(m)
-    best: list[int] | None = None
-
-    def layer_of(perm: list[int], v: int) -> list[int]:
-        row = [m[v][u] for u in perm] + [m[v][v]]
-        col = [m[u][v] for u in perm]
-        return row + col
-
-    def search(perm: list[int], flat: list[int], remaining: set[int]) -> None:
-        nonlocal best
-        if not remaining:
-            if best is None or flat < best:
-                best = list(flat)
-            return
-        scored = sorted((layer_of(perm, v), v) for v in remaining)
-        for layer, v in scored:
-            extended = flat + layer
-            if best is not None and extended > best[: len(extended)]:
-                break  # later candidates have larger layers, so they exceed too
-            search(perm + [v], extended, remaining - {v})
-
-    search([], [], set(range(n)))
-    return (n, tuple(best or []))
+    return _canonical_labelling(m)[0]

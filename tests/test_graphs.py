@@ -376,6 +376,36 @@ def _brute_force_isomorphic(g1, g2):
     return False
 
 
+def _assert_preserves_ends(g1, g2, iso):
+    """``iso`` is a bijection on vertices and on edges that keeps src and rng."""
+    assert sorted(iso.vertex_map) == sorted(g1.vertices)
+    assert sorted(iso.vertex_map.values()) == sorted(g2.vertices)
+    assert sorted(iso.edge_map) == sorted(g1.edge_ids())
+    assert sorted(iso.edge_map.values()) == sorted(g2.edge_ids())
+    for eid, target in iso.edge_map.items():
+        e, t = g1.edge(eid), g2.edge(target)
+        assert iso.vertex_map[e.src] == t.src and iso.vertex_map[e.rng] == t.rng
+
+
+def _relabeled(g, rng):
+    """``g`` under a random vertex permutation, with new edge ids, both
+    lists shuffled."""
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    sigma = dict(zip(g.vertices, perm))
+    edges = [Edge(f"r{e.id}", sigma[e.src], sigma[e.rng]) for e in g.edges]
+    rng.shuffle(edges)
+    rng.shuffle(perm)
+    return DirectedMultigraph(tuple(perm), tuple(edges))
+
+
+def _graph(n, ends):
+    return DirectedMultigraph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple(Edge(f"e{k}", f"v{s}", f"v{r}") for k, (s, r) in enumerate(ends)),
+    )
+
+
 def test_isomorphic_identity(fork):
     e1, _, _, _ = fork
     iso = is_isomorphic(e1, e1)
@@ -408,7 +438,9 @@ def test_isomorphism_random_corpus_vs_brute_force():
         assert (is_isomorphic(g1, g2) is None) == (is_isomorphic(g2, g1) is None)
     small = [random_graph(rng, max_vertices=5, max_edges=8) for _ in range(14)]
     for g1, g2 in itertools.combinations(small, 2):
-        assert (is_isomorphic(g1, g2) is not None) == _brute_force_isomorphic(g1, g2)
+        expected = _brute_force_isomorphic(g1, g2)
+        assert (is_isomorphic(g1, g2) is not None) == expected
+        assert (canonical_key(g1) == canonical_key(g2)) == expected
 
 
 def test_isomorphic_relabeled_random():
@@ -422,8 +454,52 @@ def test_isomorphic_relabeled_random():
             tuple(perm),
             tuple(Edge(f"r{e.id}", sigma[e.src], sigma[e.rng]) for e in g.edges),
         )
-        assert is_isomorphic(g, relabeled) is not None
+        iso = is_isomorphic(g, relabeled)
+        assert iso is not None
+        _assert_preserves_ends(g, relabeled, iso)
         assert canonical_key(g) == canonical_key(relabeled)
+
+
+def test_canonical_labelling_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    corpus = [
+        _graph(9, [(i, i) for i in range(9)]),  # nine isolated loops
+        _graph(20, [(rng.randrange(20), rng.randrange(20)) for _ in range(33)]),
+        _graph(6, [(i, i) for i in range(6) for _ in range(i % 3 + 1)]),  # multi-loops
+        _graph(12, [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+               + [(8 + i, 8 + (i + 1) % 4) for i in range(4)]),  # three 4-cycles
+        _graph(12, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]),
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 20)
+        corpus.append(_graph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]))
+
+    def to_nx(g):
+        h = nx.MultiDiGraph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from((e.src, e.rng) for e in g.edges)
+        return h
+
+    for g in corpus:
+        relabeled = _relabeled(g, rng)
+        assert nx.is_isomorphic(to_nx(g), to_nx(relabeled))
+        assert canonical_key(g) == canonical_key(relabeled)
+        iso = is_isomorphic(g, relabeled)
+        assert iso is not None
+        _assert_preserves_ends(g, relabeled, iso)
+        # moving one edge may or may not give an isomorphic graph
+        if g.edges:
+            ends = [(int(e.src[1:]), int(e.rng[1:])) for e in g.edges]
+            n = len(g.vertices)
+            ends[rng.randrange(len(ends))] = (rng.randrange(n), rng.randrange(n))
+            moved = _relabeled(_graph(n, ends), rng)
+            expected = nx.is_isomorphic(to_nx(g), to_nx(moved))
+            assert (canonical_key(g) == canonical_key(moved)) == expected
+            iso = is_isomorphic(g, moved)
+            assert (iso is not None) == expected
+            if iso is not None:
+                _assert_preserves_ends(g, moved, iso)
 
 
 def test_canonical_key_distinguishes():
