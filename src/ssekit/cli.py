@@ -10,6 +10,7 @@ stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -309,7 +310,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="ssekit",
         description="Strong shift equivalence toolkit for finite directed multigraphs.",

@@ -125,10 +125,12 @@ def test_deeply_nested_json_is_usage_error(run, files):
 def test_unexpected_exception_is_internal_error(run, files, monkeypatch):
     import ssekit.cli
 
-    def broken(args):
+    def broken(path):
         raise RuntimeError("boom\non two lines")
 
-    monkeypatch.setattr(ssekit.cli, "cmd_validate", broken)
+    # cmd_validate looks _load_graph up at run time; the cached parser holds
+    # cmd_validate itself
+    monkeypatch.setattr(ssekit.cli, "_load_graph", broken)
     code, out, err = run("validate", files["fork_e1"])
     assert code == 3
     assert out == ""
