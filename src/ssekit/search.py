@@ -149,7 +149,8 @@ def sse_chain_search(
     over it are never built; each remaining child is keyed from its count
     matrix, computed from the parent's, and built only when the key is new.
     Depth pairs are explored balanced-first within each total step count, so
-    one-sided deep expansion happens only when nothing shallower meets.
+    one-sided deep expansion happens only when nothing shallower meets; once
+    both frontiers are empty and no pair can meet, the search stops early.
     """
     if max_steps < 0:
         raise GraphError("max_steps must be nonnegative")
@@ -168,6 +169,10 @@ def sse_chain_search(
     side2 = _SearchSide(e2, max_vertices, max_parts)
 
     for total in range(max_steps + 1):
+        if not (side1.layers[-1] or side2.layers[-1]):
+            # both frontiers died: a side's last states are at depth layers.index([]) - 1
+            if total > side1.layers.index([]) + side2.layers.index([]) - 2:
+                break  # every pair from here on is past one side's last states
         decompositions = sorted(
             ((d1, total - d1) for d1 in range(total + 1)),
             key=lambda pair: (max(pair), pair),

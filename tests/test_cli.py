@@ -351,6 +351,20 @@ def test_chain_search_absent_exit_1(run, files):
     assert json.loads(out)["reason"] == "invariant-mismatch"
 
 
+def test_chain_search_stops_when_both_sides_are_exhausted(run, files):
+    # neither graph has a split that is not isomorphic to it, so both
+    # frontiers die at depth 1; a huge depth bound must not be walked
+    looped = _write(files["tmp"] / "looped.graph", json.dumps(
+        {"vertices": ["a"], "edges": [{"id": "l", "src": "a", "rng": "a"}]}))
+    looped_plus = _write(files["tmp"] / "looped_plus.graph", json.dumps(
+        {"vertices": ["a", "b"], "edges": [{"id": "l", "src": "a", "rng": "a"}]}))
+    code, out, err = run("chain-search", looped, looped_plus, "--max-steps", "1000000")
+    code3, out3, _ = run("chain-search", looped, looped_plus, "--max-steps", "3")
+    assert code == code3 == 1
+    assert out == out3 and err == ""
+    assert json.loads(out)["reason"] == "search-space-exhausted"
+
+
 def test_invariants_profile(run, files):
     code, out, _ = run("invariants", files["tl_e1"], "--n", "4")
     assert code == 0
