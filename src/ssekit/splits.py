@@ -103,6 +103,15 @@ class SplitSpecError(GraphError):
         self.report = report
 
 
+def _mapped_fibers(g: DirectedMultigraph, kind: str) -> list[tuple[str, tuple[Edge, ...]]]:
+    """The vertices a valid spec of ``kind`` partitions, each with the edges
+    it partitions: receivers and their in-edges for an insplit, vertices that
+    both receive and emit and their out-edges for an outsplit."""
+    if kind == "insplit":
+        return [(v, g.in_edges(v)) for v in g.vertices if g.in_edges(v)]
+    return [(v, g.out_edges(v)) for v in g.vertices if g.in_edges(v) and g.out_edges(v)]
+
+
 def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
     """Check the partition conditions vertex by vertex.
 
@@ -116,23 +125,15 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
     for v in spec.parts:
         if not g.has_vertex(v):
             violations.append(f"spec maps unknown vertex {v!r}")
-    if spec.kind == "insplit":
-        fiber = {v: tuple(e.id for e in g.in_edges(v)) for v in g.vertices}
-        required = {v for v in g.vertices if fiber[v]}
-        forbidden_reason = "a source (receives no edges)"
-    else:
-        fiber = {v: tuple(e.id for e in g.out_edges(v)) for v in g.vertices}
-        required = {
-            v for v in g.vertices if fiber[v] and g.in_edges(v)
-        }
-        forbidden_reason = "a source or a sink"
+    fiber = {v: {e.id for e in es} for v, es in _mapped_fibers(g, spec.kind)}
+    forbidden_reason = "a source (receives no edges)" if spec.kind == "insplit" else "a source or a sink"
     for v in g.vertices:
         mapped = v in spec.parts
-        if mapped and v not in required:
+        if mapped and v not in fiber:
             violations.append(f"vertex {v!r} must stay unpartitioned: it is {forbidden_reason}")
-        if not mapped and v in required:
+        if not mapped and v in fiber:
             violations.append(f"vertex {v!r} must be partitioned")
-        if not mapped or v not in required:
+        if not mapped or v not in fiber:
             continue
         classes = spec.parts[v]
         seen: dict[str, int] = {}
@@ -145,8 +146,8 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
                         f"vertex {v!r}: edge {eid!r} appears in classes {seen[eid]} and {i}"
                     )
                 seen[eid] = i
-        missing = set(fiber[v]) - set(seen)
-        extra = set(seen) - set(fiber[v])
+        missing = fiber[v] - set(seen)
+        extra = set(seen) - fiber[v]
         if missing:
             violations.append(f"vertex {v!r}: classes miss edges {sorted(missing)}")
         if extra:
@@ -437,15 +438,6 @@ def _set_partitions(items: Sequence[str], max_parts: int) -> list[tuple[tuple[st
 
     rec(0, [], 0)
     return out
-
-
-def _mapped_fibers(g: DirectedMultigraph, kind: str) -> list[tuple[str, tuple[Edge, ...]]]:
-    """The vertices a valid spec of ``kind`` partitions, each with the edges
-    it partitions: receivers and their in-edges for an insplit, vertices that
-    both receive and emit and their out-edges for an outsplit."""
-    if kind == "insplit":
-        return [(v, g.in_edges(v)) for v in g.vertices if g.in_edges(v)]
-    return [(v, g.out_edges(v)) for v in g.vertices if g.in_edges(v) and g.out_edges(v)]
 
 
 def enumerate_split_specs(
