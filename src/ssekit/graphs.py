@@ -584,14 +584,14 @@ def _refine(colour: list[int], out: list[list[tuple[int, int]]], inn: list[list[
 
     A colour is the position where its cell starts.  A signature is the
     vertex's colour, then its sorted out- and in-bundles, k edges to colour c
-    coded k * n + c.  Old cells keep their place, so refining commutes with
-    relabelling."""
+    coded k * n + c (``out``/``inn`` list each far end with k * n).  Old cells
+    keep their place, so refining commutes with relabelling."""
     n = len(colour)
     cells = len(set(colour))
     while cells < n:
         sig = [
-            (colour[v], sorted([k + colour[w] for w, k in out[v]]), sorted([k + colour[w] for w, k in inn[v]]))
-            for v in range(n)
+            (c, sorted([kn + colour[w] for w, kn in out[v]]), sorted([kn + colour[u] for u, kn in inn[v]]))
+            for v, c in enumerate(colour)
         ]
         new, prev, split = colour[:], None, 0
         for i, v in enumerate(sorted(range(n), key=sig.__getitem__)):
