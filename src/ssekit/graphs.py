@@ -499,7 +499,9 @@ def paths_between(
 ) -> list[Path]:
     """All paths of the given length with source in ``from_vertices`` and range
     in ``to_vertices`` (defaults: all vertices), sorted lexicographically by
-    edge-id sequence; length 0 yields one vertex path per admissible vertex."""
+    edge-id sequence; length 0 yields one vertex path per admissible vertex.
+    Paths grow backwards from their range along the in-edge index, so the cost
+    is O(number of paths of this length ending in ``to_vertices``)."""
     if length < 0:
         raise GraphError("path length must be nonnegative")
     frm = set(g.vertices if from_vertices is None else from_vertices)
@@ -513,20 +515,18 @@ def paths_between(
     results: list[tuple[str, ...]] = []
 
     def extend(seq: list[str], tail_src: str) -> None:
-        # seq holds e_1 .. e_k; the next edge e_{k+1} must have r = s(e_k).
+        # seq holds e_1 .. e_k; e_{k+1} needs r = tail_src: s(e_k), or the range if k = 0.
         if len(seq) == length:
             if tail_src in frm:
                 results.append(tuple(seq))
             return
-        for e in g.edges:
-            if e.rng == tail_src:
-                seq.append(e.id)
-                extend(seq, e.src)
-                seq.pop()
+        for e in g.in_edges(tail_src):
+            seq.append(e.id)
+            extend(seq, e.src)
+            seq.pop()
 
-    for first in g.edges:
-        if first.rng in to:
-            extend([first.id], first.src)
+    for v in to:
+        extend([], v)
     results.sort()
     return [Path(g, seq) for seq in results]
 

@@ -80,8 +80,9 @@ def transport_g_from_h(w: SseWitness, h: EdgeFunction) -> EdgeFunction:
     """
     if h.graph != w.e3:
         raise GraphError("h is not a weight map on the witness' intermediate graph")
+    # implied_graph2 validates every theta2 pair as a path of e3.
     e2 = w.implied_graph2()
-    return EdgeFunction(e2, {eid: path_weight(h, Path(w.e3, pair)) for eid, pair in w.theta2.items()})
+    return EdgeFunction(e2, {eid: sum(map(h, pair)) for eid, pair in w.theta2.items()})
 
 
 def _weights_via_phi(
@@ -251,8 +252,7 @@ def lift_edge_function(
         values[root] = 0
         parent[root] = None
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # appended to while iterated: a FIFO read cursor
             for eq_i in adjacency[u]:
                 eq = equations[eq_i]
                 other = eq.second if eq.first == u else eq.first

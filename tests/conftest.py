@@ -8,9 +8,13 @@
 * two_loops: a single vertex with two loops against the complete 2-vertex
   graph, with the hand-built witness whose lifting system is the canonical
   infeasible example.
+* broken_two_loops: the two_loops witness broken three ways on side 2, each
+  with the message that rejects it.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -113,6 +117,29 @@ def two_loops():
     g_bad = EdgeFunction(e2, {"l1": 1, "m12": 2, "m21": 3, "l2": 5})
     g_good = EdgeFunction(e2, {"l1": 1, "m12": 2, "m21": 3, "l2": 4})
     return e1, e2, e3, witness, g_bad, g_good
+
+
+@pytest.fixture(scope="session")
+def broken_two_loops(two_loops):
+    """(name, witness, message) for theta2 or vmap2 broken in two_loops."""
+    w = two_loops[3]
+    return [
+        (
+            "theta2-does-not-chain",
+            dataclasses.replace(w, theta2=dict(w.theta2, l1=("a", "b"))),
+            "edges 'a' and 'b' do not chain: s(a)='v' but r(b)='V2'",
+        ),
+        (
+            "theta2-unknown-edge",
+            dataclasses.replace(w, theta2=dict(w.theta2, l1=("a", "zz"))),
+            "unknown edge id 'zz'",
+        ),
+        (
+            "vmap2-not-injective",
+            dataclasses.replace(w, vmap2={"V1": "V1", "V2": "V1"}),
+            "vertex map is not injective; cannot reconstruct the outer graph",
+        ),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -289,6 +289,15 @@ def test_transport_f_phi_side(run, files):
     assert payload["g"] == {"l1": 1, "m12": 1, "m21": 2, "l2": 2}
 
 
+def test_broken_side2_witness_is_usage_error(run, files, broken_two_loops):
+    h = _write(files["tmp"] / "h.weights", json.dumps({"weights": {"a": 0, "b": 1, "c": 1, "d": 3}}))
+    for name, broken, message in broken_two_loops:
+        w = _write(files["tmp"] / f"{name}.witness", json.dumps(witness_to_json_obj(broken)))
+        for argv in (("transport", "--witness", w, "--h", h), ("lift", "--witness", w, "--g", files["tl_good"])):
+            code, out, err = run(*argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (name, argv[0])
+
+
 def test_transport_f_requires_phi_side(run, files):
     f = _write(files["tmp"] / "f2.weights", json.dumps({"weights": {"p": 1, "q": 2}}))
     code, _, err = run("transport", "--witness", files["tl_w"], "--f", f)

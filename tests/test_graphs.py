@@ -162,6 +162,44 @@ def test_paths_two_loops_e3_brute_force(two_loops):
     assert len(got) == 4
 
 
+def test_paths_between_matches_brute_force_in_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 4))
+        vertices = tuple(f"v{i}" for i in range(n))
+        # Up to 7 edges with any ends (loops and parallel edges included), ids
+        # permuted so that edge order and id order differ.
+        ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=7))
+        ids = draw(st.permutations([f"e{i}" for i in range(len(ends))]))
+        g = DirectedMultigraph(vertices, tuple(Edge(i, s, r) for i, (s, r) in zip(ids, ends)))
+        subset = st.one_of(st.none(), st.lists(st.sampled_from(vertices), unique=True))
+        return g, draw(st.integers(0, 3)), draw(subset), draw(subset)
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, length, frm, to = case
+        got = paths_between(g, length, frm, to)
+        frm = set(g.vertices if frm is None else frm)
+        to = set(g.vertices if to is None else to)
+        if length == 0:
+            assert [p.base for p in got] == [v for v in g.vertices if v in frm and v in to]
+            return
+        expected = sorted(
+            tuple(e.id for e in seq)
+            for seq in itertools.product(g.edges, repeat=length)
+            if all(a.src == b.rng for a, b in zip(seq, seq[1:]))
+            and seq[0].rng in to
+            and seq[-1].src in frm
+        )
+        assert [p.edge_ids for p in got] == expected
+
+    check()
+
+
 def test_path_chaining_validated(fork):
     e1, _, _, _ = fork
     with pytest.raises(GraphError, match="do not chain"):

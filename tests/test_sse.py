@@ -20,6 +20,7 @@ from ssekit import (
     matrix_essse_search,
     matrix_essse_verify,
     parse_witness,
+    paths_between,
     periodic_point_profile,
     sse_chain_search,
     verify_sse_witness,
@@ -424,17 +425,26 @@ def test_witness_from_random_factorizations():
 
 
 def test_find_theta_on_random_split_witnesses():
-    from ssekit.corpus import random_graph, random_insplit_spec
-    from ssekit.splits import insplit_witness
+    from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
+    from ssekit.splits import insplit_witness, outsplit_witness
 
     rng = random.Random(83)
-    done = 0
-    while done < 20:
-        g = random_graph(rng, max_vertices=5, max_edges=8)
-        if not g.edges:
-            continue
-        bundle = insplit_witness(g, random_insplit_spec(rng, g, 3))
+    small = [random_graph(rng, max_vertices=5, max_edges=8) for _ in range(60)]
+    vs = tuple(f"v{i}" for i in range(40))
+    large = [
+        DirectedMultigraph(vs, tuple(Edge(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(400)))
+        for _ in range(4)
+    ]
+    graphs = [g for g in small if g.edges][:40] + large
+    for i, g in enumerate(graphs):
+        if i % 2:
+            bundle = outsplit_witness(g, random_outsplit_spec(rng, g, 3))
+        else:
+            bundle = insplit_witness(g, random_insplit_spec(rng, g, 3))
         w = bundle.witness
+        assert verify_sse_witness(g, bundle.e2, w).passed
+        assert len(paths_between(w.e3, 2, w.side1, w.side1)) == len(g.edges)
+        assert len(paths_between(w.e3, 2, w.side2, w.side2)) == len(bundle.e2.edges)
         found = find_theta_bijections(
             g, bundle.e2, w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2
         )
@@ -443,7 +453,6 @@ def test_find_theta_on_random_split_witnesses():
             w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2, found[0], found[1]
         )
         assert verify_sse_witness(g, bundle.e2, rebuilt).theta_bijections_ok
-        done += 1
 
 
 # -- chain search ------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_transport_fan_witness(fan):
     }
 
 
+def test_broken_side2_witness_rejected_with_its_message(two_loops, broken_two_loops):
+    e1, _, e3, w, _, _ = two_loops
+    h = EdgeFunction(e3, {"a": 0, "b": 1, "c": 1, "d": 3})
+    f = EdgeFunction(e1, {"p": 1, "q": 2})
+    for name, broken, message in broken_two_loops:
+        calls = (
+            lambda: transport_g_from_h(broken, h),
+            lambda: weights_from_f_E12(broken, f, {eid: pair[0] for eid, pair in w.theta1.items()}),
+            lambda: weights_from_f_E21(broken, f, {eid: pair[1] for eid, pair in w.theta1.items()}),
+        )
+        for call in calls:
+            with pytest.raises(GraphError) as exc:
+                call()
+            assert str(exc.value) == message, name
+
+
 # -- the two weight constructions --------------------------------------------------
 
 
