@@ -604,24 +604,44 @@ def _refine(colour: list[int], out: list[list[tuple[int, int]]], inn: list[list[
     return colour
 
 
+def _uniform(m: Sequence[Sequence[int]], colour: list[int]) -> bool:
+    """Whether ``m[x][y]`` depends only on the colours of x and y and on
+    whether x == y.  Then every permutation within cells is an automorphism,
+    every leaf below the colouring has the same matrix, and the first leaf
+    orders each cell by vertex."""
+    seen: dict[tuple[int, int, bool], int] = {}
+    for x, row in enumerate(m):
+        cx = colour[x]
+        for y, k in enumerate(row):
+            if seen.setdefault((cx, colour[y], x == y), k) != k:
+                return False
+    return True
+
+
 def _canonical_labelling(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[int]]:
     """``(key, order)``: n and the least row-major ``m`` over the search's
     leaves, and the vertex order of a leaf that attains it.
 
     Colour refinement plus individualisation (McKay & Piperno, "Practical
-    graph isomorphism, II", 2014).  A discrete colouring is a leaf; any other
-    node individualises each vertex of its first smallest non-singleton cell.
-    A leaf equal to the best gives an automorphism: siblings in one orbit of
-    those fixing the node's path are skipped, and the search jumps back to
-    where the two leaves' paths diverge.  Recursion is as deep as a path."""
+    graph isomorphism, II", 2014).  A node whose colouring is discrete or
+    ``_uniform`` is a leaf, ordered by colour, then by vertex; any other node
+    individualises each vertex of its first smallest non-singleton cell.  A
+    uniform leaf records the automorphism that turns each of its cells one
+    step.  A leaf equal to the best gives an automorphism: siblings in one
+    orbit of those fixing the node's path are skipped, and the search jumps
+    back to where the two leaves' paths diverge.  A node takes the
+    automorphisms fixing its path from its parent's and adds those found
+    below it.  They fix its path too: a uniform leaf's fixes every
+    singleton, and a leaf below the node equal to a best leaf outside it
+    jumps back past the node, so the search never goes on there.  Recursion
+    is as deep as a path."""
     n = len(m)
     out = [[(w, k * n) for w, k in enumerate(row) if k] for row in m]
     inn = [[(u, k * n) for u, k in enumerate(col) if k] for col in zip(*m)]
     autos: list[list[int]] = []
     best: list = []  # key, order and path of the least leaf so far
 
-    def orbit(v: int, path: list[int]) -> set[int]:
-        fixing = [a for a in autos if all(a[p] == p for p in path)]
+    def orbit(v: int, fixing: list[list[int]]) -> set[int]:
         seen, todo = {v}, [v]
         while todo:
             x = todo.pop()
@@ -629,14 +649,21 @@ def _canonical_labelling(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], l
             seen.update(todo)
         return seen
 
-    def search(colour: list[int], path: list[int]) -> int | None:
-        """Explore a node; return the depth to jump back to, if any."""
+    def search(colour: list[int], path: list[int], fixing: list[list[int]]) -> int | None:
+        """Explore a node whose path the automorphisms ``fixing`` fix;
+        return the depth to jump back to, if any."""
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
             cells.setdefault(c, []).append(v)
-        if len(cells) == n:
-            order = sorted(range(n), key=colour.__getitem__)
+        if len(cells) == n or _uniform(m, colour):
+            order = sorted(range(n), key=lambda v: (colour[v], v))
             key = tuple([m[a][b] for a in order for b in order])
+            if len(cells) < n:  # uniform: turning each cell one step is an automorphism
+                a = list(range(n))
+                for cell in cells.values():
+                    for x, y in zip(cell, cell[1:] + cell[:1]):
+                        a[x] = y
+                autos.append(a)
             if not best or key < best[0]:
                 best[:] = key, order, path
             elif key == best[0]:
@@ -645,17 +672,21 @@ def _canonical_labelling(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], l
             return None
         start = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)[1]
         tried: list[int] = []
+        known = len(autos)
         for v in cells[start]:
-            if autos and not orbit(v, path).isdisjoint(tried):
-                continue
+            if tried:
+                fixing += autos[known:]
+                known = len(autos)
+                if not orbit(v, fixing).isdisjoint(tried):
+                    continue
             tried.append(v)
             child = [start + 1 if c == start and w != v else c for w, c in enumerate(colour)]
-            back = search(_refine(child, out, inn), path + [v])
+            back = search(_refine(child, out, inn), path + [v], [a for a in fixing if a[v] == v])
             if back is not None and back < len(path):
                 return back
         return None
 
-    search(_refine([0] * n, out, inn), [])
+    search(_refine([0] * n, out, inn), [], [])
     return (n, *best[0]), best[1]
 
 

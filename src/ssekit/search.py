@@ -4,26 +4,42 @@ Both endpoints grow forward under insplits and outsplits until the two
 frontiers reach isomorphic graphs.  Every split is an elementary SSE, so it
 preserves ``tr(A^n)`` for every n: the endpoints are compared on their
 periodic-point profiles once, and children are never re-checked.
+
+The search runs on count matrices: a split of A is A = D·E with split
+matrix B = E·D (Lind & Marcus, *An Introduction to Symbolic Dynamics and
+Coding*, §2.4 and §7.2).  A state is a count matrix keyed by its canonical
+form, and a move is one vector partition per vertex, of its in-count column
+for an insplit or its out-count row for an outsplit, so parallel edges do
+not multiply the moves.  Labelled graphs and specs are built only for the
+legs returned, by replaying their moves from the labelled root.  A move
+replays as the first labelled spec with its class vectors, which is the
+spec that first reaches the child in the labelled enumeration order, so the
+printed legs are those of a search over labelled specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .graphs import (
     DirectedMultigraph,
     GraphError,
+    _count_matrix,
     canonical_key,
     canonical_key_of_counts,
     graph_to_json_obj,
 )
 from .invariants import sse_invariant_filter
 from .splits import (
+    Classes,
     SplitSpec,
     _build_insplit,
     _build_outsplit,
-    enumerate_split_specs,
-    split_counter,
+    split_counts,
+    split_ends,
+    vector_split_spec,
+    vector_splits,
     widest_split_vertex_count,
 )
 
@@ -79,49 +95,65 @@ class ChainSearchResult:
 
 @dataclass
 class _State:
-    graph: DirectedMultigraph
+    counts: Sequence[Sequence[int]]  # count matrix, in the vertex order of the graph leg() builds
     parent: tuple | None
     move: str | None
-    spec: SplitSpec | None
+    parts: dict[int, Classes] | None  # class count vectors per partitioned vertex
+    ends: list[tuple[int, int]] | None = None  # edges as (src, rng) positions; set on expansion
 
 
 class _SearchSide:
+    """One endpoint's forward search.  A state is a count matrix keyed by
+    its canonical form; a move is a vector partition per vertex
+    (``vector_splits``).  Labelled graphs are built only for the legs that
+    ``leg`` returns, by replaying the moves from the root."""
+
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
+        self.root = root
         self.max_vertices = max_vertices
         self.max_parts = max_parts
         self.truncated = False
+        vidx = {v: i for i, v in enumerate(root.vertices)}
+        ends = [(vidx[e.src], vidx[e.rng]) for e in root.edges]
         root_key = canonical_key(root)
-        self.states: dict[tuple, _State] = {root_key: _State(root, None, None, None)}
+        self.states: dict[tuple, _State] = {root_key: _State(_count_matrix(root), None, None, None, ends)}
         self.layers: list[list[tuple]] = [[root_key]]
 
     def expand_to(self, depth: int) -> None:
         while len(self.layers) <= depth:
-            frontier = self.layers[-1]
             new_layer: list[tuple] = []
-            for key in frontier:
-                g = self.states[key].graph
-                if widest_split_vertex_count(g, self.max_parts) > self.max_vertices:
+            for key in self.layers[-1]:
+                state = self.states[key]
+                n = len(state.counts)
+                if state.ends is None:
+                    # the parent's layer was expanded before this one, so its ends are set
+                    parent = self.states[state.parent]  # type: ignore[index]
+                    state.ends = split_ends(
+                        len(parent.counts), parent.ends, state.move, state.parts  # type: ignore[arg-type]
+                    )
+                if widest_split_vertex_count(n, state.ends, self.max_parts) > self.max_vertices:
                     self.truncated = True
-                counts = split_counter(g)
-                for move, spec in enumerate_split_specs(g, self.max_parts, self.max_vertices):
-                    # keyed from its count matrix; built only when new
-                    child_key = canonical_key_of_counts(counts(spec))
-                    if child_key in self.states:
-                        continue
-                    # enumerate_split_specs yields only valid specs
-                    build = _build_insplit if move == "insplit" else _build_outsplit
-                    child = build(g, spec).graph
-                    self.states[child_key] = _State(child, key, move, spec)
-                    new_layer.append(child_key)
+                for move, parts in vector_splits(n, state.ends, self.max_parts, self.max_vertices):
+                    counts = split_counts(state.counts, move, parts)
+                    child_key = canonical_key_of_counts(counts)
+                    if child_key not in self.states:
+                        self.states[child_key] = _State(counts, key, move, parts)
+                        new_layer.append(child_key)
             self.layers.append(new_layer)
 
     def leg(self, key: tuple) -> list[ChainStep]:
-        steps: list[ChainStep] = []
+        moves: list[_State] = []
         state = self.states[key]
         while state.parent is not None:
-            steps.append(ChainStep(state.move, state.spec, state.graph))  # type: ignore[arg-type]
+            moves.append(state)
             state = self.states[state.parent]
-        steps.reverse()
+        steps: list[ChainStep] = []
+        g = self.root
+        for state in reversed(moves):
+            spec = vector_split_spec(g, state.move, state.parts)  # type: ignore[arg-type]
+            # vector_split_spec builds only valid specs
+            g = (_build_insplit if state.move == "insplit" else _build_outsplit)(g, spec).graph
+            steps.append(ChainStep(state.move, spec, g))  # type: ignore[arg-type]
         return steps
 
 
@@ -142,12 +174,15 @@ def sse_chain_search(
     preserve the profile, so no state is pruned on it.  Absence within the
     bounds decides nothing.
 
-    The bounds are the only throttle: the number of split specs per state is
-    the product of per-vertex partition counts, so graphs with fat in/out
-    bundles explode combinatorially -- tighten the bounds before probing
-    dense graphs.  ``max_vertices`` is applied inside that product, so specs
-    over it are never built; each remaining child is keyed from its count
-    matrix, computed from the parent's, and built only when the key is new.
+    The bounds are the only throttle: the number of moves per state is the
+    product of per-vertex vector-partition counts (partitions of a vertex's
+    in-count column or out-count row into at most ``max_parts`` parts, up to
+    their order), so vertices with many neighbours explode combinatorially
+    -- tighten the bounds before probing dense graphs.  Parallel edges add
+    no moves.  ``max_vertices`` is applied inside that product, so moves
+    over it are never tried; each remaining child's count matrix is
+    computed from the parent's and keyed, and labelled graphs are built only
+    for the legs returned.
     Depth pairs are explored balanced-first within each total step count, so
     one-sided deep expansion happens only when nothing shallower meets; once
     both frontiers are empty and no pair can meet, the search stops early.

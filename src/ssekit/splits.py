@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -411,68 +411,124 @@ def outsplit_transport_f(
     return g2, h
 
 
-# -- enumeration for the chain search ----------------------------------------
+# -- split moves on count matrices, for the chain search ---------------------
+#
+# The search works on vertex positions: ``ends`` lists a graph's edges as
+# (source, range) positions in edge order, and a split's classes at a vertex
+# are count vectors over the far ends of its fiber's edges (their sources for
+# an insplit, their ranges for an outsplit).  Parallel edges are
+# interchangeable, so a move is one vector partition per partitioned vertex,
+# and the labelled spec it stands for is built only when a caller asks.
+
+Classes = tuple[tuple[int, ...], ...]
 
 
-def _set_partitions(items: Sequence[str], max_parts: int) -> list[tuple[tuple[str, ...], ...]]:
-    """All partitions into at most max_parts nonempty classes, classes ordered
-    by first occurrence (restricted growth strings)."""
-    n = len(items)
-    out: list[tuple[tuple[str, ...], ...]] = []
+def _fiber_ends(n: int, ends: Sequence[tuple[int, int]], kind: str) -> list[tuple[int, list[int]]]:
+    """``_mapped_fibers`` on positions: each vertex a spec of ``kind``
+    partitions, with the far ends of its fiber's edges in edge order."""
+    far_in: list[list[int]] = [[] for _ in range(n)]
+    far_out: list[list[int]] = [[] for _ in range(n)]
+    for s, r in ends:
+        far_in[r].append(s)
+        far_out[s].append(r)
+    if kind == "insplit":
+        return [(v, far) for v, far in enumerate(far_in) if far]
+    return [(v, far) for v, (near, far) in enumerate(zip(far_in, far_out)) if near and far]
 
-    def rec(i: int, assignment: list[int], nblocks: int) -> None:
-        if i == n:
-            blocks: list[list[str]] = [[] for _ in range(nblocks)]
-            for j, b in enumerate(assignment):
-                blocks[b].append(items[j])
-            out.append(tuple(tuple(b) for b in blocks))
+
+def _vector_partitions(far: Sequence[int], n: int, max_parts: int) -> list[Classes]:
+    """The partitions of a fiber into at most ``max_parts`` nonempty classes,
+    one per multiset of class count vectors (indexed by far end, ``n`` long).
+
+    Labelled partitions are restricted growth strings over the fiber's edges,
+    in lexicographic order; each vector partition comes in the order of its
+    first labelled one, with its classes in that one's order.  A first one
+    gives the edges with one far end nondecreasing classes (swapping two that
+    do not gives an earlier string with the same vectors), so only such
+    strings are walked."""
+    out: list[Classes] = []
+    seen: set[Classes] = set()
+    classes: list[list[int]] = []
+    last = [0] * n  # class of the previous edge with this far end
+
+    def rec(i: int) -> None:
+        if i == len(far):
+            vectors = tuple(map(tuple, classes))
+            multiset = tuple(sorted(vectors))
+            if multiset not in seen:
+                seen.add(multiset)
+                out.append(vectors)
             return
-        for b in range(nblocks):
-            assignment.append(b)
-            rec(i + 1, assignment, nblocks)
-            assignment.pop()
-        if nblocks < max_parts:
-            assignment.append(nblocks)
-            rec(i + 1, assignment, nblocks + 1)
-            assignment.pop()
+        t = far[i]
+        prev = last[t]
+        for b in range(prev, len(classes)):
+            classes[b][t] += 1
+            last[t] = b
+            rec(i + 1)
+            classes[b][t] -= 1
+        if len(classes) < max_parts:
+            classes.append([0] * n)
+            classes[-1][t] = 1
+            last[t] = len(classes) - 1
+            rec(i + 1)
+            classes.pop()
+        last[t] = prev
 
-    rec(0, [], 0)
+    rec(0)
     return out
 
 
-def enumerate_split_specs(
-    g: DirectedMultigraph, max_parts: int, max_vertices: int | None = None
-) -> Iterator[tuple[str, SplitSpec]]:
-    """Every valid insplit spec, then every valid outsplit spec, in the
-    deterministic product order of per-vertex partitions.
+def _first_classes(far: Sequence[int], classes: Classes) -> list[int]:
+    """The class of each fiber edge in the first labelled partition with
+    these class vectors: the edges with one far end fill the classes in
+    order, in edge order."""
+    left = [list(c) for c in classes]
+    out = []
+    for t in far:
+        k = 0
+        while not left[k][t]:
+            k += 1
+        left[k][t] -= 1
+        out.append(k)
+    return out
 
-    With ``max_vertices``, only the specs whose split graph has at most that
-    many vertices, in the same order: a partial product is dropped as soon as
-    its classes, plus one for each vertex still to choose, exceed the bound,
-    so no spec over the bound is ever built.  Partitions too wide to fit even
-    beside single classes everywhere else are not generated at all; dropping
-    them keeps the order of the rest.
+
+def vector_splits(
+    n: int, ends: Sequence[tuple[int, int]], max_parts: int, max_vertices: float
+) -> Iterator[tuple[str, dict[int, Classes]]]:
+    """Every insplit, then every outsplit, of the graph with ``n`` vertices
+    and edges ``ends``, up to parallel edges: ``(kind, parts)``, ``parts`` a
+    vector partition per partitioned vertex, in the product order of
+    ``_vector_partitions``.  Each move stands for its first labelled spec
+    (``vector_split_spec``), and the moves come in the order of those specs
+    among all labelled ones, so the first move to reach a child is the first
+    labelled spec to reach it.
+
+    Only the moves whose split graph has at most ``max_vertices`` vertices
+    come, in that order (``math.inf`` keeps them all): a partial product is
+    dropped as soon as its classes, plus one for each vertex still to
+    choose, exceed the bound.  Partitions too wide to fit even beside single
+    classes everywhere else are not generated at all; dropping them keeps
+    the order of the rest.
     """
     for kind in ("insplit", "outsplit"):
-        fibers = _mapped_fibers(g, kind)
+        fibers = _fiber_ends(n, ends, kind)
         mapped = [v for v, _ in fibers]
-        budget = math.inf if max_vertices is None else max_vertices - (len(g.vertices) - len(mapped))
+        budget = max_vertices - (n - len(mapped))
         widest = min(max_parts, budget - len(mapped) + 1)
-        choices = [_set_partitions([e.id for e in es], widest) for _, es in fibers]
+        choices = [_vector_partitions(far, n, widest) for _, far in fibers]
         for combo in _bounded_product(choices, budget):
-            yield kind, SplitSpec(kind, dict(zip(mapped, combo)))
+            yield kind, dict(zip(mapped, combo))
 
 
-def _bounded_product(
-    choices: list[list[tuple[tuple[str, ...], ...]]], budget: float
-) -> Iterator[tuple[tuple[tuple[str, ...], ...], ...]]:
+def _bounded_product(choices: list[list[Classes]], budget: float) -> Iterator[tuple[Classes, ...]]:
     """``itertools.product(*choices)`` in its order, keeping the combos whose
     class counts sum to at most ``budget``.  Every partition has at least one
     class."""
     last = len(choices)
-    combo: list[tuple[tuple[str, ...], ...]] = []
+    combo: list[Classes] = []
 
-    def extend(i: int, left: float) -> Iterator[tuple[tuple[tuple[str, ...], ...], ...]]:
+    def extend(i: int, left: float) -> Iterator[tuple[Classes, ...]]:
         if i == last:
             yield tuple(combo)
             return
@@ -487,59 +543,71 @@ def _bounded_product(
         yield from extend(0, budget)
 
 
-def widest_split_vertex_count(g: DirectedMultigraph, max_parts: int) -> int:
-    """The most vertices a split of ``g`` with at most ``max_parts`` classes
-    per vertex can have, over both kinds: each partitioned vertex takes as
-    many classes as it has edges, up to ``max_parts``.  ``g`` has a spec over
-    a vertex bound exactly when this exceeds it."""
+def widest_split_vertex_count(n: int, ends: Sequence[tuple[int, int]], max_parts: int) -> int:
+    """The most vertices a split of the graph with ``n`` vertices and edges
+    ``ends`` can have with at most ``max_parts`` classes per vertex, over
+    both kinds: each partitioned vertex takes as many classes as it has
+    edges, up to ``max_parts``.  The graph has a move over a vertex bound
+    exactly when this exceeds it."""
     return max(
-        len(g.vertices) - len(fibers) + sum(min(max_parts, len(es)) for _, es in fibers)
-        for fibers in (_mapped_fibers(g, "insplit"), _mapped_fibers(g, "outsplit"))
+        n - len(fibers) + sum(min(max_parts, len(far)) for _, far in fibers)
+        for fibers in (_fiber_ends(n, ends, "insplit"), _fiber_ends(n, ends, "outsplit"))
     )
 
 
-def split_vertex_count(g: DirectedMultigraph, spec: SplitSpec) -> int:
-    """Vertex count of the split graph: sum of max(m(v), 1)."""
-    return sum(max(spec.m(v), 1) for v in g.vertices)
+def split_counts(m: Sequence[Sequence[int]], kind: str, parts: Mapping[int, Classes]) -> list[tuple[int, ...]]:
+    """The count matrix of the split by ``(kind, parts)`` of the graph with
+    count matrix ``m``: row i, column j counts the edges from copy i to copy
+    j, copies in the order ``_build_insplit`` / ``_build_outsplit`` give the
+    split of ``vector_split_spec``'s spec."""
+    if kind == "insplit":
+        # an unpartitioned vertex receives nothing; its column is its one class
+        cls = [parts.get(v) or (col,) for v, col in enumerate(zip(*m))]
+        # every copy of u emits a copy of each u -> v edge, into the copy of
+        # v that holds the edge's class
+        rows = [tuple([vec[u] for cs in cls for vec in cs]) for u in range(len(m))]
+        return [row for row, cs in zip(rows, cls) for _ in cs]
+    # an unpartitioned vertex (a source or a sink) keeps its row whole
+    cls = [parts.get(u) or (tuple(row),) for u, row in enumerate(m)]
+    copies = [len(cs) for cs in cls]
+    # each copy of u emits its class; each edge gets a copy into every copy of its range
+    return [tuple([k for k, c in zip(vec, copies) for _ in range(c)]) for cs in cls for vec in cs]
 
 
-def split_counter(g: DirectedMultigraph) -> Callable[[SplitSpec], list[list[int]]]:
-    """``counts(spec)``: the count matrix of ``g``'s split by a valid
-    spec, ``counts[i][j]`` edges from copy i to copy j, copies in the order
-    ``_build_insplit`` / ``_build_outsplit`` give them.  It works on vertex and
-    edge positions and builds neither ids nor a graph, so a search can key a
-    child before deciding to build it."""
+def split_ends(
+    n: int, ends: Sequence[tuple[int, int]], kind: str, parts: Mapping[int, Classes]
+) -> list[tuple[int, int]]:
+    """The edges of the split by ``(kind, parts)`` as (source, range)
+    positions, in the order ``_build_insplit`` / ``_build_outsplit`` give
+    them for ``vector_split_spec``'s spec."""
+    near = 1 if kind == "insplit" else 0  # the end at the partitioned vertex
+    fibers: dict[int, list[int]] = {v: [] for v in parts}
+    for k, edge in enumerate(ends):
+        if edge[near] in fibers:
+            fibers[edge[near]].append(k)
+    cls = [0] * len(ends)
+    for v, members in fibers.items():
+        for k, c in zip(members, _first_classes([ends[k][1 - near] for k in members], parts[v])):
+            cls[k] = c
+    copies = [len(parts[v]) if v in parts else 1 for v in range(n)]
+    first = [sum(copies[:v]) for v in range(n)]
+    if kind == "insplit":
+        # a copy of the edge at every copy of its source, into its class at the range
+        return [(first[s] + j, first[r] + c) for (s, r), c in zip(ends, cls) for j in range(copies[s])]
+    # from its class at the source, a copy into every copy of the range
+    return [(first[s] + c, first[r] + j) for (s, r), c in zip(ends, cls) for j in range(copies[r])]
+
+
+def vector_split_spec(g: DirectedMultigraph, kind: str, parts: Mapping[int, Classes]) -> SplitSpec:
+    """The first labelled spec of ``g`` (in ``_vector_partitions``' order)
+    whose classes have the count vectors ``parts``, vertices by position."""
     vidx = {v: i for i, v in enumerate(g.vertices)}
-    eidx = {e.id: k for k, e in enumerate(g.edges)}
-    ends = [(vidx[e.src], vidx[e.rng]) for e in g.edges]
-    n = len(g.vertices)
-
-    def counts(spec: SplitSpec) -> list[list[int]]:
-        copies = [1] * n
-        cls = [0] * len(ends)  # 0-based class of each edge in its partitioned fiber
-        for v, classes in spec.parts.items():
-            copies[vidx[v]] = len(classes)
-            for i, members in enumerate(classes):
-                for eid in members:
-                    cls[eidx[eid]] = i
-        first = [0] * n
-        total = 0
-        for i in range(n):
-            first[i] = total
-            total += copies[i]
-        m = [[0] * total for _ in range(total)]
-        if spec.kind == "insplit":
-            # a copy of the edge at every copy of its source, into its class at the range
-            for k, (s, r) in enumerate(ends):
-                col = first[r] + cls[k]
-                for row in range(first[s], first[s] + copies[s]):
-                    m[row][col] += 1
-        else:
-            # from its class at the source, a copy into every copy of the range
-            for k, (s, r) in enumerate(ends):
-                row = m[first[s] + cls[k]]
-                for col in range(first[r], first[r] + copies[r]):
-                    row[col] += 1
-        return m
-
-    return counts
+    labelled: dict[str, tuple[tuple[str, ...], ...]] = {}
+    for v, es in _mapped_fibers(g, kind):
+        classes = parts[vidx[v]]
+        far = [vidx[e.src if kind == "insplit" else e.rng] for e in es]
+        members: list[list[str]] = [[] for _ in classes]
+        for e, c in zip(es, _first_classes(far, classes)):
+            members[c].append(e.id)
+        labelled[v] = tuple(map(tuple, members))
+    return SplitSpec(kind, labelled)

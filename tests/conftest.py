@@ -20,6 +20,16 @@ import pytest
 
 from ssekit import DirectedMultigraph, Edge, EdgeFunction, SplitSpec, SseWitness
 
+try:
+    import hypothesis
+except ImportError:  # property tests skip themselves through importorskip
+    pass
+else:
+    # Property tests are reproducible and fast: a fixed example sequence, no
+    # example database and no per-example deadline.
+    hypothesis.settings.register_profile("ssekit", derandomize=True, database=None, deadline=None)
+    hypothesis.settings.load_profile("ssekit")
+
 
 @pytest.fixture(scope="session")
 def fork():

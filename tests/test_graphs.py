@@ -178,7 +178,7 @@ def test_paths_between_matches_brute_force_in_order():
         subset = st.one_of(st.none(), st.lists(st.sampled_from(vertices), unique=True))
         return g, draw(st.integers(0, 3)), draw(subset), draw(subset)
 
-    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.settings(max_examples=100)
     @hypothesis.given(cases())
     def check(case):
         g, length, frm, to = case
@@ -538,6 +538,80 @@ def test_canonical_labelling_vs_networkx():
             assert (iso is not None) == expected
             if iso is not None:
                 _assert_preserves_ends(g, moved, iso)
+
+
+def _disjoint(*components):
+    """The disjoint union of graphs given as (vertex count, ends) pairs."""
+    n, ends = 0, []
+    for size, part in components:
+        ends += [(n + s, n + r) for s, r in part]
+        n += size
+    return _graph(n, ends)
+
+
+def _cycle(c, multiplicity=1):
+    return c, [(i, (i + 1) % c) for i in range(c) for _ in range(multiplicity)]
+
+
+def _loops(j):
+    return 1, [(0, 0)] * j
+
+
+def test_canonical_key_of_many_isolated_loops():
+    # Every permutation is an automorphism here; the search must not walk
+    # the orbits of the 80! leaves (this took seconds, growing as k^3.5).
+    rng = random.Random(80)
+    g = _relabeled(_disjoint(*[_loops(1)] * 80), rng)
+    assert canonical_key(g) == (80, *[int(i == j) for i in range(80) for j in range(80)])
+    iso = is_isomorphic(g, _relabeled(g, rng))
+    assert iso is not None
+    assert all(iso.vertex_map[e.src] == iso.vertex_map[e.rng] for e in g.edges)
+
+
+def test_canonical_key_symmetric_graphs_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    # disjoint cycles and multi-loop copies, with look-alikes of the same
+    # vertex count, edge count and degrees that are not isomorphic
+    corpus = [_disjoint(*[_cycle(c, mult)] * k) for c in (1, 2, 3, 4) for k in (1, 2, 3, 6) for mult in (1, 2)]
+    corpus += [
+        _disjoint(_cycle(6)),
+        _disjoint(_cycle(4), _cycle(2)),
+        _disjoint(*[_cycle(3)] * 4),
+        _disjoint(*[_cycle(4)] * 3),
+        _disjoint(*[_cycle(6)] * 2),
+        _disjoint(_cycle(12)),
+        _disjoint(*[_loops(2)] * 3, *[_loops(1)] * 3),
+        _disjoint(*[_loops(3)] * 3, *[_loops(0)] * 3),
+        _disjoint(*[_loops(1)] * 9),
+        _disjoint(*[_loops(1)] * 8, _loops(0), _loops(2)),
+        _disjoint(*[_cycle(3)] * 3, *[_loops(1)] * 3),
+        _disjoint(*[_cycle(3)] * 2, *[_loops(1)] * 6),
+    ]
+    corpus = [_relabeled(g, rng) for g in corpus]
+
+    def to_nx(g):
+        h = nx.MultiDiGraph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from((e.src, e.rng) for e in g.edges)
+        return h
+
+    pairs = 0
+    for g in corpus:
+        copy = _relabeled(g, rng)
+        assert canonical_key(g) == canonical_key(copy)
+        _assert_preserves_ends(g, copy, is_isomorphic(g, copy))
+        for h in corpus:
+            if (len(g.vertices), len(g.edges)) != (len(h.vertices), len(h.edges)):
+                continue
+            expected = nx.is_isomorphic(to_nx(g), to_nx(h))
+            assert (canonical_key(g) == canonical_key(h)) == expected
+            iso = is_isomorphic(g, h)
+            assert (iso is not None) == expected
+            if iso is not None:
+                _assert_preserves_ends(g, h, iso)
+            pairs += not expected
+    assert pairs > 20  # look-alikes that are not isomorphic
 
 
 def test_canonical_key_distinguishes():

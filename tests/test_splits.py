@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,15 +29,19 @@ from ssekit.corpus import (
     random_insplit_spec,
     random_outsplit_spec,
 )
-from ssekit.graphs import canonical_key, canonical_key_of_counts
+from ssekit.graphs import _count_matrix, canonical_key, canonical_key_of_counts
 from ssekit.splits import (
     _build_insplit,
     _build_outsplit,
-    enumerate_split_specs,
-    split_counter,
-    split_vertex_count,
+    _first_classes,
+    _vector_partitions,
+    split_counts,
+    split_ends,
+    vector_split_spec,
+    vector_splits,
     widest_split_vertex_count,
 )
+from labelled_splits import enumerate_split_specs, set_partitions, split_vertex_count
 
 
 # -- validation -----------------------------------------------------------------
@@ -415,65 +420,128 @@ def _split_corpus() -> list[DirectedMultigraph]:
     return graphs
 
 
+def _positions(g):
+    """(n, ends): g's vertex count and its edges as (src, rng) positions."""
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    return len(g.vertices), [(vidx[e.src], vidx[e.rng]) for e in g.edges]
+
+
+def _moves(g, max_parts, max_vertices=math.inf):
+    return list(vector_splits(*_positions(g), max_parts, max_vertices))
+
+
+def _built(g, kind, parts):
+    spec = vector_split_spec(g, kind, parts)
+    return spec, (_build_insplit if kind == "insplit" else _build_outsplit)(g, spec).graph
+
+
 def test_enumerate_split_specs_all_valid(loop_feed):
     g, _, _ = loop_feed
-    specs = list(enumerate_split_specs(g, 2))
-    kinds = {k for k, _ in specs}
+    moves = _moves(g, 2)
+    kinds = {k for k, _ in moves}
     assert kinds == {"insplit", "outsplit"}
     # r^{-1}(v) = {a, b} gives two insplit partitions; v is the only
     # splittable vertex either way
-    assert sum(1 for k, _ in specs if k == "insplit") == 2
-    # The chain search builds children from these specs without validating
-    # them again or comparing their trace profiles with the parent's.
+    assert sum(1 for k, _ in moves if k == "insplit") == 2
+    # The chain search builds the labelled specs of its moves only for the
+    # legs it prints, without validating them again or comparing their trace
+    # profiles with the parent's.
     for h in [g] + _split_corpus():
         a = adjacency_matrix(h)
         traces = [a.power(n).trace() for n in range(1, 5)]
         for max_parts in (2, 3):
-            for kind, spec in enumerate_split_specs(h, max_parts):
+            for kind, parts in _moves(h, max_parts):
+                spec, child = _built(h, kind, parts)
                 assert validate_split_spec(h, spec).valid
-                build = _build_insplit if kind == "insplit" else _build_outsplit
-                b = adjacency_matrix(build(h, spec).graph)
+                b = adjacency_matrix(child)
                 assert [b.power(n).trace() for n in range(1, 5)] == traces
+
+
+def test_vector_splits_are_the_first_labelled_specs(loop_feed, two_loops):
+    # One move per class of labelled specs with the same class count vectors
+    # at every vertex, in the order of each class's first labelled spec, and
+    # standing for that spec: so the first move to reach a child is the first
+    # labelled spec to reach it, and printed legs do not change.
+    def vectors(h, spec):
+        far = {e.id: (e.src if spec.kind == "insplit" else e.rng) for e in h.edges}
+        return spec.kind, tuple(
+            (v, tuple(sorted(tuple(sum(far[e] == w for e in cls) for w in h.vertices) for cls in classes)))
+            for v, classes in spec.parts.items()
+        )
+
+    seen_moves = 0
+    for h in [loop_feed[0], two_loops[0], two_loops[2]] + _split_corpus():
+        for max_parts in (1, 2, 3):
+            first: dict = {}
+            for _, spec in enumerate_split_specs(h, max_parts):
+                first.setdefault(vectors(h, spec), spec)
+            got = [vector_split_spec(h, kind, parts) for kind, parts in _moves(h, max_parts)]
+            assert got == list(first.values())
+            seen_moves += len(got)
+    assert seen_moves > 700
 
 
 def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
     # The vertex bound is applied inside the product: what comes out must be
-    # exactly the unbounded specs that fit, in the same order (the first spec
+    # exactly the unbounded moves that fit, in the same order (the first move
     # to reach a key decides the legs a chain search prints).
     checked = 0
-    # an edgeless root has no vertex to partition: its one (identity) spec
+    # an edgeless root has no vertex to partition: its one (identity) move
     # per kind keeps every vertex, and is over the bound below |V|
     edgeless = DirectedMultigraph(("u", "v"), ())
     for g in [loop_feed[0], edgeless] + _split_corpus():
+        n, ends = _positions(g)
         for max_parts in (2, 3):
-            specs = list(enumerate_split_specs(g, max_parts))
+            moves = _moves(g, max_parts)
+            size = {id(parts): n - len(parts) + sum(map(len, parts.values())) for _, parts in moves}
+            for kind, parts in moves:
+                assert size[id(parts)] == split_vertex_count(g, vector_split_spec(g, kind, parts))
             for bound in range(1, len(g.vertices) + 4):
-                fitting = [s for s in specs if split_vertex_count(g, s[1]) <= bound]
-                assert list(enumerate_split_specs(g, max_parts, bound)) == fitting
-                over = any(split_vertex_count(g, s[1]) > bound for s in specs)
-                assert (widest_split_vertex_count(g, max_parts) > bound) == over
+                fitting = [mv for mv in moves if size[id(mv[1])] <= bound]
+                assert _moves(g, max_parts, bound) == fitting
+                over = any(size[id(parts)] > bound for _, parts in moves)
+                assert (widest_split_vertex_count(n, ends, max_parts) > bound) == over
                 checked += 1
     assert checked > 500
 
 
 def test_split_counts_match_the_built_graph(loop_feed, two_loops):
-    # The chain search keys each child from split_counter's matrix and builds
-    # the graph only for new keys; the two must describe the same graph.
-    specs_seen = 0
+    # The chain search keys each child from split_counts' matrix, expands it
+    # from split_ends' edge list, and builds the labelled graph only for the
+    # legs it prints; all three must describe the same graph.
+    moves_seen = 0
     for g in [loop_feed[0], two_loops[0], two_loops[2]] + _split_corpus():
-        counts = split_counter(g)
+        n, ends = _positions(g)
         for max_parts in (2, 3):
-            for kind, spec in enumerate_split_specs(g, max_parts):
-                child = (_build_insplit if kind == "insplit" else _build_outsplit)(g, spec).graph
-                idx = {v: i for i, v in enumerate(child.vertices)}
-                built = [[0] * len(idx) for _ in idx]
-                for e in child.edges:
-                    built[idx[e.src]][idx[e.rng]] += 1
-                m = counts(spec)
-                assert m == built
+            for kind, parts in _moves(g, max_parts):
+                _, child = _built(g, kind, parts)
+                m = split_counts(_count_matrix(g), kind, parts)
+                assert [list(row) for row in m] == _count_matrix(child)
                 assert canonical_key_of_counts(m) == canonical_key(child)
-                specs_seen += 1
-    assert specs_seen > 1000
+                assert split_ends(n, ends, kind, parts) == _positions(child)[1]
+                moves_seen += 1
+    assert moves_seen > 600
+
+
+def test_vector_partitions_are_the_first_set_partitions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # A fiber's far ends in edge order: few distinct ends, so many parallel edges.
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(st.lists(st.integers(0, 3), max_size=8), st.integers(1, 3))
+    def check(far, max_parts):
+        first: dict = {}
+        for partition in set_partitions(range(len(far)), max_parts):
+            classes = tuple(tuple(sum(far[i] == t for i in cls) for t in range(4)) for cls in partition)
+            first.setdefault(tuple(sorted(classes)), (classes, partition))
+        got = _vector_partitions(far, 4, max_parts)
+        assert got == [classes for classes, _ in first.values()]
+        for classes, partition in first.values():
+            labels = [next(k for k, cls in enumerate(partition) if i in cls) for i in range(len(far))]
+            assert _first_classes(far, classes) == labels
+
+    check()
 
 
 def test_id_collision_handling():

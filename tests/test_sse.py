@@ -31,11 +31,10 @@ from ssekit import search
 from ssekit.splits import (
     _build_insplit,
     _build_outsplit,
-    enumerate_split_specs,
     insplit_apply,
     outsplit_apply,
-    split_vertex_count,
 )
+from labelled_splits import enumerate_split_specs, split_vertex_count
 
 
 # -- witness verification -----------------------------------------------------
@@ -638,16 +637,25 @@ def test_chain_search_space_exhausted():
     assert not result.truncated_by_vertex_bound
 
 
-class _UnboundedEnumerationSide(search._SearchSide):
-    """Reference expansion: enumerate every spec, flag the search as
-    truncated for each spec whose split graph is over the bound, build every
-    other child and key the built graph."""
+class _UnboundedEnumerationSide:
+    """Reference search side on labelled graphs: enumerate every labelled
+    spec, flag the search as truncated for each spec whose split graph is
+    over the bound, build every other child and key the built graph.  The
+    first spec to reach a key is its state's move."""
+
+    def __init__(self, root, max_vertices, max_parts):
+        self.max_vertices = max_vertices
+        self.max_parts = max_parts
+        self.truncated = False
+        root_key = canonical_key(root)
+        self.states = {root_key: (root, None, None, None)}
+        self.layers = [[root_key]]
 
     def expand_to(self, depth):
         while len(self.layers) <= depth:
             new_layer = []
             for key in self.layers[-1]:
-                g = self.states[key].graph
+                g = self.states[key][0]
                 for move, spec in enumerate_split_specs(g, self.max_parts):
                     if split_vertex_count(g, spec) > self.max_vertices:
                         self.truncated = True
@@ -656,9 +664,18 @@ class _UnboundedEnumerationSide(search._SearchSide):
                     child = build(g, spec).graph
                     child_key = canonical_key(child)
                     if child_key not in self.states:
-                        self.states[child_key] = search._State(child, key, move, spec)
+                        self.states[child_key] = (child, key, move, spec)
                         new_layer.append(child_key)
             self.layers.append(new_layer)
+
+    def leg(self, key):
+        steps = []
+        graph, parent, move, spec = self.states[key]
+        while parent is not None:
+            steps.append(search.ChainStep(move, spec, graph))
+            graph, parent, move, spec = self.states[parent]
+        steps.reverse()
+        return steps
 
 
 def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
@@ -687,6 +704,37 @@ def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
                 outcomes.append((fast["status"], fast["truncated_by_vertex_bound"]))
     # the corpus reaches every combination of found/absent and truncated or not
     assert set(outcomes) == {(s, t) for s in ("found", "absent") for t in (True, False)}
+
+
+def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
+    # Williams' pair: B's vertex 1 emits six parallel edges and one more, so
+    # labelled edge partitions overcount its moves.  Searched by labelled
+    # specs, these bounds keyed 10,560 children; by vector partitions, each
+    # child is keyed once per move.
+    from ssekit import graph_from_matrix
+
+    keyed = []
+    sides = []
+    canonical = search.canonical_key_of_counts
+
+    def key(m):
+        keyed.append(m)
+        return canonical(m)
+
+    class Side(search._SearchSide):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sides.append(self)
+
+    monkeypatch.setattr(search, "canonical_key_of_counts", key)
+    monkeypatch.setattr(search, "_SearchSide", Side)
+    a = graph_from_matrix(_mat([[1, 3], [2, 1]]))
+    b = graph_from_matrix(_mat([[1, 6], [1, 1]]))
+    result = sse_chain_search(a, b, max_steps=2, max_vertices=4)
+    assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", True)
+    assert len(keyed) == 788
+    assert [len(side.states) for side in sides] == [197, 317]
+    assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22, 174], [1, 26, 290]]
 
 
 def test_chain_search_bounds_validated(fork):
