@@ -20,7 +20,6 @@ edges) that drive weight transport.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 

@@ -493,13 +493,12 @@ def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
         n, ends = _positions(g)
         for max_parts in (2, 3):
             moves = _moves(g, max_parts)
-            size = {id(parts): n - len(parts) + sum(map(len, parts.values())) for _, parts in moves}
-            for kind, parts in moves:
-                assert size[id(parts)] == split_vertex_count(g, vector_split_spec(g, kind, parts))
+            sizes = [n - len(parts) + sum(map(len, parts.values())) for _, parts in moves]
+            for (kind, parts), size in zip(moves, sizes):
+                assert size == split_vertex_count(g, vector_split_spec(g, kind, parts))
             for bound in range(1, len(g.vertices) + 4):
-                fitting = [mv for mv in moves if size[id(mv[1])] <= bound]
-                assert _moves(g, max_parts, bound) == fitting
-                over = any(size[id(parts)] > bound for _, parts in moves)
+                assert _moves(g, max_parts, bound) == [mv for mv, size in zip(moves, sizes) if size <= bound]
+                over = any(size > bound for size in sizes)
                 assert (widest_split_vertex_count(n, ends, max_parts) > bound) == over
                 checked += 1
     assert checked > 500
