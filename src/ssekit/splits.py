@@ -422,17 +422,17 @@ def outsplit_transport_f(
 Classes = tuple[tuple[int, ...], ...]
 
 
-def _fiber_ends(n: int, ends: Sequence[tuple[int, int]], kind: str) -> list[tuple[int, list[int]]]:
+def _fibers(n: int, ends: Sequence[tuple[int, int]], kind: str) -> list[tuple[int, list[int]]]:
     """``_mapped_fibers`` on positions: each vertex a spec of ``kind``
-    partitions, with the far ends of its fiber's edges in edge order."""
-    far_in: list[list[int]] = [[] for _ in range(n)]
-    far_out: list[list[int]] = [[] for _ in range(n)]
-    for s, r in ends:
-        far_in[r].append(s)
-        far_out[s].append(r)
+    partitions, with the positions in ``ends`` of its fiber's edges."""
+    into: list[list[int]] = [[] for _ in range(n)]
+    out_of: list[list[int]] = [[] for _ in range(n)]
+    for k, (s, r) in enumerate(ends):
+        out_of[s].append(k)
+        into[r].append(k)
     if kind == "insplit":
-        return [(v, far) for v, far in enumerate(far_in) if far]
-    return [(v, far) for v, (near, far) in enumerate(zip(far_in, far_out)) if near and far]
+        return [(v, ks) for v, ks in enumerate(into) if ks]
+    return [(v, ks) for v, (kin, ks) in enumerate(zip(into, out_of)) if kin and ks]
 
 
 def _vector_partitions(far: Sequence[int], n: int, max_parts: int) -> list[Classes]:
@@ -511,11 +511,12 @@ def vector_splits(
     the order of the rest.
     """
     for kind in ("insplit", "outsplit"):
-        fibers = _fiber_ends(n, ends, kind)
+        fibers = _fibers(n, ends, kind)
         mapped = [v for v, _ in fibers]
         budget = max_vertices - (n - len(mapped))
         widest = min(max_parts, budget - len(mapped) + 1)
-        choices = [_vector_partitions(far, n, widest) for _, far in fibers]
+        far = 0 if kind == "insplit" else 1  # the end away from the partitioned vertex
+        choices = [_vector_partitions([ends[k][far] for k in ks], n, widest) for _, ks in fibers]
         for combo in _bounded_product(choices, budget):
             yield kind, dict(zip(mapped, combo))
 
@@ -549,8 +550,8 @@ def widest_split_vertex_count(n: int, ends: Sequence[tuple[int, int]], max_parts
     edges, up to ``max_parts``.  The graph has a move over a vertex bound
     exactly when this exceeds it."""
     return max(
-        n - len(fibers) + sum(min(max_parts, len(far)) for _, far in fibers)
-        for fibers in (_fiber_ends(n, ends, "insplit"), _fiber_ends(n, ends, "outsplit"))
+        n - len(fibers) + sum(min(max_parts, len(ks)) for _, ks in fibers)
+        for fibers in (_fibers(n, ends, "insplit"), _fibers(n, ends, "outsplit"))
     )
 
 
@@ -579,14 +580,10 @@ def split_ends(
     """The edges of the split by ``(kind, parts)`` as (source, range)
     positions, in the order ``_build_insplit`` / ``_build_outsplit`` give
     them for ``vector_split_spec``'s spec."""
-    near = 1 if kind == "insplit" else 0  # the end at the partitioned vertex
-    fibers: dict[int, list[int]] = {v: [] for v in parts}
-    for k, edge in enumerate(ends):
-        if edge[near] in fibers:
-            fibers[edge[near]].append(k)
-    cls = [0] * len(ends)
-    for v, members in fibers.items():
-        for k, c in zip(members, _first_classes([ends[k][1 - near] for k in members], parts[v])):
+    far = 0 if kind == "insplit" else 1  # the end away from the partitioned vertex
+    cls = [0] * len(ends)  # class of each edge in its fiber
+    for v, ks in _fibers(n, ends, kind):
+        for k, c in zip(ks, _first_classes([ends[k][far] for k in ks], parts[v])):
             cls[k] = c
     copies = [len(parts[v]) if v in parts else 1 for v in range(n)]
     first = [sum(copies[:v]) for v in range(n)]
