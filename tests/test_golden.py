@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
 from ssekit import DirectedMultigraph, SplitSpec, serialize_graph, witness_to_json_obj
 from ssekit.cli import main
+from ssekit.corpus import random_edge_function, random_graph, random_insplit_spec
 from ssekit.splits import insplit_apply, outsplit_apply
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -30,6 +32,9 @@ CASES = {
     "insplit": ["insplit", "{loop}", "--spec", "{loop_spec}"],
     "insplit_witness_weights": [
         "insplit", "{loop}", "--spec", "{loop_spec}", "--witness", "--weights", "{loop_f}",
+    ],
+    "insplit_witness_weights_large": [
+        "insplit", "{big}", "--spec", "{big_spec}", "--witness", "--weights", "{big_f}",
     ],
     "insplit_funnel_witness": ["insplit", "{funnel}", "--spec", "{funnel_spec}", "--witness"],
     "insplit_invalid_spec": ["insplit", "{loop}", "--spec", "{bad_spec}"],
@@ -94,6 +99,11 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         mid, SplitSpec("outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)})
     ).graph
     stripped = DirectedMultigraph(tl_e3.vertices, tuple(e for e in tl_e3.edges if e.id != "d"))
+    # A seeded 30-vertex, 72-edge graph: its witness output is deep and wide.
+    rng = random.Random(1)
+    big = random_graph(rng, max_vertices=30, max_edges=120, min_vertices=30)
+    big_spec = random_insplit_spec(rng, big)
+    big_f = random_edge_function(rng, big, lo=-10**12, hi=10**12)
     sides = {
         "side1": list(tl_w.side1),
         "side2": list(tl_w.side2),
@@ -117,6 +127,9 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "fan_spec": json.dumps(spec_fan.to_json_obj()),
         "funnel": serialize_graph(g_funnel),
         "funnel_spec": json.dumps(spec_funnel.to_json_obj()),
+        "big": serialize_graph(big),
+        "big_spec": json.dumps(big_spec.to_json_obj()),
+        "big_f": serialize_graph(big, big_f),
         "tl_e1": serialize_graph(tl_e1),
         "tl_e2": serialize_graph(tl_e2),
         "tl_e3": serialize_graph(tl_e3),
