@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
+from typing import Any, Callable
 
 from .corpus import random_graph
 from .graphs import (
@@ -22,7 +22,9 @@ from .graphs import (
     GraphError,
     GraphFormatError,
     NonnegIntMatrix,
+    _json_text,
     classify_vertices,
+    graph_from_json_obj,
     graph_to_json_obj,
     parse_graph_with_weights,
     parse_json,
@@ -33,6 +35,7 @@ from .search import sse_chain_search
 from .splits import insplit_witness, outsplit_witness, parse_split_spec
 from .sse import (
     EssePair,
+    SseWitness,
     find_theta_bijections,
     matrix_essse_search,
     matrix_essse_verify,
@@ -40,6 +43,7 @@ from .sse import (
     str_list,
     str_map,
     verify_sse_witness,
+    witness_from_json_obj,
     witness_to_json_obj,
 )
 from .weights import (
@@ -65,20 +69,24 @@ def _read(path: str) -> str:
         raise GraphFormatError(f"cannot read {path}: not UTF-8 text: {exc}") from None
 
 
-def _load_json(path: str) -> object:
-    text = _read(path)
+def _parsed(path: str, parse: Callable[[Any], Any], data: Any) -> Any:
+    """``parse(data)``, with a format error prefixed by the file it came from."""
     try:
-        return parse_json(text)
+        return parse(data)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
+
+
+def _load_json(path: str) -> object:
+    return _parsed(path, parse_json, _read(path))
 
 
 def _load_graph(path: str) -> tuple[DirectedMultigraph, EdgeFunction | None]:
-    text = _read(path)
-    try:
-        return parse_graph_with_weights(text)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+    return _parsed(path, parse_graph_with_weights, _read(path))
+
+
+def _load_witness(path: str) -> SseWitness:
+    return _parsed(path, parse_witness, _read(path))
 
 
 def _load_matrix(path: str) -> NonnegIntMatrix:
@@ -94,14 +102,14 @@ def _load_weight_map(path: str, graph: DirectedMultigraph) -> EdgeFunction:
         if not isinstance(wmap, dict):
             raise GraphFormatError(f'{path}: "weights" must be an object')
         return EdgeFunction(graph, {k: v for k, v in wmap.items()})
-    g, fn = _load_graph(path)
+    _, fn = _parsed(path, graph_from_json_obj, obj)
     if fn is None:
         raise GraphFormatError(f"{path}: no weights present")
     return fn
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_json_text(obj) + "\n")
 
 
 def _weight_obj(fn: EdgeFunction) -> dict:
@@ -174,7 +182,7 @@ def cmd_outsplit(args: argparse.Namespace) -> int:
 def cmd_sse_verify(args: argparse.Namespace) -> int:
     e1, _ = _load_graph(args.e1)
     e2, _ = _load_graph(args.e2)
-    w = parse_witness(_read(args.witness))
+    w = _load_witness(args.witness)
     report = verify_sse_witness(e1, e2, w)
     _emit(report.to_json_obj())
     return EXIT_OK if report.passed else EXIT_NEGATIVE
@@ -208,7 +216,7 @@ def cmd_theta_search(args: argparse.Namespace) -> int:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    w = parse_witness(_read(args.witness))
+    w = _load_witness(args.witness)
     g = _load_weight_map(args.g, w.implied_graph2())
     f = _load_weight_map(args.f, w.implied_graph1()) if args.f else None
     outcome = lift_edge_function(w, g, f)
@@ -217,7 +225,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
-    w = parse_witness(_read(args.witness))
+    w = _load_witness(args.witness)
     if args.h:
         h = _load_weight_map(args.h, w.e3)
         g = transport_g_from_h(w, h)
@@ -281,10 +289,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     obj = _load_json(args.graph)
     if isinstance(obj, dict) and "e3" in obj:
-        w = parse_witness(_read(args.graph))
+        w = _parsed(args.graph, witness_from_json_obj, obj)
         sys.stdout.write(to_dot(w.e3, blue_edges=w.e21, red_edges=w.e12))
         return EXIT_OK
-    g, fn = _load_graph(args.graph)
+    g, fn = _parsed(args.graph, graph_from_json_obj, obj)
     sys.stdout.write(to_dot(g, weights=fn))
     return EXIT_OK
 

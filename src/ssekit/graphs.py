@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -31,8 +32,7 @@ class GraphFormatError(GraphError):
     """Malformed serialized input."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     rng: str
@@ -49,6 +49,28 @@ class DirectedMultigraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        # Exact-type and bulk checks first; only a graph that fails them is
+        # walked record by record, so that the first fault is the one named.
+        vertices, edges = self.vertices, self.edges
+        if not (set(map(type, vertices)) <= {str} and len(set(vertices)) == len(vertices)):
+            self._check_records()
+        by_id = {e.id: e for e in edges}
+        incoming: dict[str, list[Edge]] = {v: [] for v in vertices}
+        outgoing: dict[str, list[Edge]] = {v: [] for v in vertices}
+        try:
+            for e in edges:
+                outgoing[e.src].append(e)
+                incoming[e.rng].append(e)
+        except KeyError:
+            self._check_records()
+        if len(by_id) != len(edges):
+            self._check_records()
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
+        object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
+
+    def _check_records(self) -> None:
+        """Raise the error for the first bad vertex or edge record, if any."""
         seen_v: set[str] = set()
         for v in self.vertices:
             if not isinstance(v, str):
@@ -56,22 +78,15 @@ class DirectedMultigraph:
             if v in seen_v:
                 raise GraphError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
-        by_id: dict[str, Edge] = {}
-        incoming: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        outgoing: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        seen_e: set[str] = set()
         for i, e in enumerate(self.edges):
-            if e.id in by_id:
+            if e.id in seen_e:
                 raise GraphError(f"edges[{i}]: duplicate edge id {e.id!r}")
             if e.src not in seen_v:
                 raise GraphError(f"edges[{i}] ({e.id!r}): unknown src {e.src!r}")
             if e.rng not in seen_v:
                 raise GraphError(f"edges[{i}] ({e.id!r}): unknown rng {e.rng!r}")
-            by_id[e.id] = e
-            outgoing[e.src].append(e)
-            incoming[e.rng].append(e)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
+            seen_e.add(e.id)
 
     # -- accessors ---------------------------------------------------------
 
@@ -102,7 +117,7 @@ class DirectedMultigraph:
             raise GraphError(f"unknown vertex id {v!r}") from None
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
+        return tuple(self._by_id)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -121,15 +136,7 @@ class Path:
         if self.edge_ids:
             if self.base is not None:
                 raise GraphError("a path is either an edge sequence or a bare vertex")
-            prev: Edge | None = None
-            for eid in self.edge_ids:
-                e = self.graph.edge(eid)
-                if prev is not None and prev.src != e.rng:
-                    raise GraphError(
-                        f"edges {prev.id!r} and {eid!r} do not chain: "
-                        f"s({prev.id})={prev.src!r} but r({eid})={e.rng!r}"
-                    )
-                prev = e
+            _chain(self.graph, self.edge_ids)
         else:
             if self.base is None:
                 raise GraphError("a length-0 path needs a base vertex")
@@ -167,6 +174,26 @@ class Path:
         return Path(self.graph, self.edge_ids + other.edge_ids)
 
 
+def _chain(g: DirectedMultigraph, edge_ids: Sequence[str]) -> tuple[str, str]:
+    """(source, range) of the path ``edge_ids`` of ``g``: each id must name an
+    edge, each edge's source must be the next edge's range, and there must be
+    at least one edge (``Path``'s checks and messages)."""
+    if not edge_ids:
+        raise GraphError("a length-0 path needs a base vertex")
+    prev: Edge | None = None
+    for eid in edge_ids:
+        e = g.edge(eid)
+        if prev is None:
+            first = e
+        elif prev.src != e.rng:
+            raise GraphError(
+                f"edges {prev.id!r} and {eid!r} do not chain: "
+                f"s({prev.id})={prev.src!r} but r({eid})={e.rng!r}"
+            )
+        prev = e
+    return prev.src, first.rng  # type: ignore[union-attr]
+
+
 @dataclass(frozen=True)
 class EdgeFunction:
     """A total integer weight map on a graph's edges, additive on paths."""
@@ -176,13 +203,16 @@ class EdgeFunction:
 
     def __post_init__(self) -> None:
         domain = set(self.weights)
-        edge_set = set(self.graph.edge_ids())
-        missing = edge_set - domain
-        extra = domain - edge_set
-        if missing:
-            raise GraphError(f"weight map misses edges: {sorted(missing)}")
-        if extra:
-            raise GraphError(f"weight map has unknown edges: {sorted(extra)}")
+        edge_set = self.graph._by_id.keys()  # type: ignore[attr-defined]
+        if domain != edge_set:
+            missing = edge_set - domain
+            extra = domain - edge_set
+            if missing:
+                raise GraphError(f"weight map misses edges: {sorted(missing)}")
+            if extra:
+                raise GraphError(f"weight map has unknown edges: {sorted(extra)}")
+        if set(map(type, self.weights.values())) <= {int}:
+            return
         for eid, wt in self.weights.items():
             if not isinstance(wt, int) or isinstance(wt, bool):
                 raise GraphError(f"weight of edge {eid!r} is not an integer: {wt!r}")
@@ -223,6 +253,8 @@ class NonnegIntMatrix:
         for i, row in enumerate(self.entries):
             if len(row) != len(self.cols):
                 raise GraphError(f"entry row {i} has {len(row)} entries for {len(self.cols)} columns")
+            if set(map(type, row)) <= {int} and min(row, default=0) >= 0:
+                continue
             for j, x in enumerate(row):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise GraphError(f"entry ({i},{j}) is not an integer: {x!r}")
@@ -374,8 +406,35 @@ def graph_to_json_obj(g: DirectedMultigraph, weights: EdgeFunction | None = None
     return {"vertices": list(g.vertices), "edges": edges}
 
 
+def _json_text(obj: object, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, with strings and ints
+    encoded in C: dicts with string keys and lists are joined here, any
+    other value goes through ``json.dumps`` and is indented to its place."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if t is list:
+        if not obj:
+            return "[]"
+        items = [encode_basestring_ascii(x) if type(x) is str else _json_text(x, inner) for x in obj]
+        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
+    if t is dict and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
 def serialize_graph(g: DirectedMultigraph, weights: EdgeFunction | None = None) -> str:
-    return json.dumps(graph_to_json_obj(g, weights), indent=2) + "\n"
+    return _json_text(graph_to_json_obj(g, weights)) + "\n"
 
 
 def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction | None]:
@@ -387,7 +446,9 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
         if key not in obj:
             raise GraphFormatError(f'graph needs a "{key}" key')
     vs = obj["vertices"]
-    if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
+    if not (type(vs) is list and set(map(type, vs)) <= {str}) and (
+        not isinstance(vs, list) or not all(isinstance(v, str) for v in vs)
+    ):
         raise GraphFormatError('"vertices" must be a list of strings')
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
@@ -396,17 +457,19 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
     weight_map: dict[str, int] = {}
     weighted = 0
     for i, rec in enumerate(raw_edges):
-        if not isinstance(rec, dict):
-            raise GraphFormatError(f"edges[{i}]: must be an object")
-        for key in ("id", "src", "rng"):
-            if key not in rec or not isinstance(rec[key], str):
-                raise GraphFormatError(f'edges[{i}]: needs a string "{key}"')
-        edges.append(Edge(rec["id"], rec["src"], rec["rng"]))
+        # One exact-type test per record; a record failing it is checked key
+        # by key, and its first fault named.
+        eid, src, rng = (rec.get("id"), rec.get("src"), rec.get("rng")) if type(rec) is dict else (None,) * 3
+        if type(eid) is str and type(src) is str and type(rng) is str:
+            e = Edge(eid, src, rng)
+        else:
+            e = _edge_of_record(i, rec)
+        edges.append(e)
         if "weight" in rec:
             wt = rec["weight"]
-            if not isinstance(wt, int) or isinstance(wt, bool):
+            if type(wt) is not int and (not isinstance(wt, int) or isinstance(wt, bool)):
                 raise GraphFormatError(f"edges[{i}]: weight must be an integer")
-            weight_map[rec["id"]] = wt
+            weight_map[e.id] = wt
             weighted += 1
     try:
         g = DirectedMultigraph(tuple(vs), tuple(edges))
@@ -419,6 +482,16 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
             f"{weighted} of {len(edges)} edges carry weights; weight either all edges or none"
         )
     return g, EdgeFunction(g, weight_map)
+
+
+def _edge_of_record(i: int, rec: object) -> Edge:
+    """Edge record ``i`` checked key by key, or the error naming its fault."""
+    if not isinstance(rec, dict):
+        raise GraphFormatError(f"edges[{i}]: must be an object")
+    for key in ("id", "src", "rng"):
+        if key not in rec or not isinstance(rec[key], str):
+            raise GraphFormatError(f'edges[{i}]: needs a string "{key}"')
+    return Edge(rec["id"], rec["src"], rec["rng"])
 
 
 def parse_json(text: str) -> object:
@@ -511,24 +584,18 @@ def paths_between(
             raise GraphError(f"unknown vertex id {v!r}")
     if length == 0:
         return [Path(g, base=v) for v in g.vertices if v in frm and v in to]
+    return [Path(g, seq) for seq in _path_ids(g, length, frm, to)]
 
-    results: list[tuple[str, ...]] = []
 
-    def extend(seq: list[str], tail_src: str) -> None:
-        # seq holds e_1 .. e_k; e_{k+1} needs r = tail_src: s(e_k), or the range if k = 0.
-        if len(seq) == length:
-            if tail_src in frm:
-                results.append(tuple(seq))
-            return
-        for e in g.in_edges(tail_src):
-            seq.append(e.id)
-            extend(seq, e.src)
-            seq.pop()
-
-    for v in to:
-        extend([], v)
-    results.sort()
-    return [Path(g, seq) for seq in results]
+def _path_ids(g: DirectedMultigraph, length: int, frm: set[str], to: set[str]) -> list[tuple[str, ...]]:
+    """``paths_between`` for ``length`` >= 1 and vertex sets of ``g``, as
+    sorted edge-id tuples: walks grow backwards from their range, one edge
+    per round, and the last round keeps the edges leaving ``frm``."""
+    inn = g._in  # type: ignore[attr-defined]
+    walks: list[tuple[tuple[str, ...], str]] = [((), v) for v in to]
+    for _ in range(length - 1):
+        walks = [(seq + (e.id,), e.src) for seq, tail in walks for e in inn[tail]]
+    return sorted([seq + (e.id,) for seq, tail in walks for e in inn[tail] if e.src in frm])
 
 
 def adjacency_matrix(

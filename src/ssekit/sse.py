@@ -25,12 +25,12 @@ from .graphs import (
     GraphError,
     GraphFormatError,
     NonnegIntMatrix,
-    Path,
+    _chain,
+    _path_ids,
     graph_from_json_obj,
     graph_from_matrix,
     graph_to_json_obj,
     parse_json,
-    paths_between,
 )
 
 
@@ -85,9 +85,9 @@ class SseWitness:
             raise GraphError("vertex map is not injective; cannot reconstruct the outer graph")
         edges = []
         for eid, pair in theta.items():
-            p = Path(self.e3, tuple(pair))
+            source, range_ = _chain(self.e3, pair)
             try:
-                edges.append(Edge(eid, back[p.source], back[p.range]))
+                edges.append(Edge(eid, back[source], back[range_]))
             except KeyError as exc:
                 raise GraphError(
                     f"theta path for edge {eid!r} ends at {exc.args[0]!r}, outside the mapped side"
@@ -218,11 +218,11 @@ def _theta_check(
         if not (e3.has_edge(first) and e3.has_edge(second)):
             problems.append(f"{label}({e.id!r}) dangles: missing edge in {pair!r}")
             continue
-        if e3.edge(first).src != e3.edge(second).rng:
+        head, tail = e3.edge(first), e3.edge(second)
+        if head.src != tail.rng:
             problems.append(f"{label}({e.id!r}) edges do not chain: {pair!r}")
             continue
-        path_source = e3.edge(second).src
-        path_range = e3.edge(first).rng
+        path_source, path_range = tail.src, head.rng
         if vmap.get(e.src) != path_source:
             problems.append(
                 f"{label}({e.id!r}) is not source-preserving: path starts at {path_source!r}"
@@ -235,8 +235,8 @@ def _theta_check(
         if key in images:
             problems.append(f"{label} repeats path {key!r} (also image of {images[key]!r})")
         images[key] = e.id
-    members = [v for v in side if e3.has_vertex(v)]
-    expected = {tuple(p.edge_ids) for p in paths_between(e3, 2, members, members)}
+    members = {v for v in side if e3.has_vertex(v)}
+    expected = set(_path_ids(e3, 2, members, members))
     missed = expected - set(images)
     if missed:
         problems.append(f"{label} misses length-2 paths: {sorted(missed)}")
@@ -316,8 +316,9 @@ def find_theta_bijections(
 
     def pair_side(outer: DirectedMultigraph, side: Sequence[str], vmap: Mapping[str, str]):
         fibers: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        for p in paths_between(e3, 2, side, side):
-            fibers.setdefault((p.source, p.range), []).append(tuple(p.edge_ids))
+        members = set(side)
+        for first, second in _path_ids(e3, 2, members, members):
+            fibers.setdefault((e3.edge(second).src, e3.edge(first).rng), []).append((first, second))
         edges_by_pair: dict[tuple[str, str], list[str]] = {}
         for e in outer.edges:
             edges_by_pair.setdefault((vmap[e.src], vmap[e.rng]), []).append(e.id)
@@ -391,7 +392,10 @@ def witness_from_json_obj(obj: object) -> SseWitness:
             raise GraphFormatError(f'"{key}" must be an object')
         out: dict[str, tuple[str, str]] = {}
         for k, v in val.items():
-            if (
+            # One exact-type test per item; the general test only for an item failing it.
+            if not (
+                type(k) is str and type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+            ) and (
                 not isinstance(k, str)
                 or not isinstance(v, list)
                 or len(v) != 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import EdgeFunction, GraphError, Path, path_weight
+from .graphs import EdgeFunction, GraphError, _chain
 from .sse import SseWitness
 
 
@@ -66,7 +66,8 @@ def check_weight_preserving(t: WeightTriple) -> tuple[bool, bool]:
         if fn is None:
             return True
         for eid, pair in theta.items():
-            if path_weight(t.h, Path(w.e3, pair)) != fn(eid):
+            _chain(w.e3, pair)
+            if sum(map(t.h, pair)) != fn(eid):
                 return False
         return True
 

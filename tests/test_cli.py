@@ -298,6 +298,40 @@ def test_broken_side2_witness_is_usage_error(run, files, broken_two_loops):
             assert (code, out, err) == (2, "", f"error: {message}\n"), (name, argv[0])
 
 
+def test_witness_format_errors_name_the_file(run, files):
+    w = _write(files["tmp"] / "short.witness", json.dumps({"e3": {"vertices": [], "edges": []}}))
+    for argv in (
+        ("sse-verify", files["fork_e1"], files["fork_e2"], "--witness", w),
+        ("lift", "--witness", w, "--g", files["tl_good"]),
+        ("transport", "--witness", w, "--h", files["tl_good"]),
+        ("export", w, "--dot"),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", f'error: {w}: witness needs a "side1" key\n'), argv[0]
+
+
+def test_each_input_file_is_read_once(run, files, monkeypatch):
+    import ssekit.cli
+
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    read = ssekit.cli._read
+    monkeypatch.setattr(ssekit.cli, "_read", counting_read)
+    for argv in (
+        ("export", files["tl_w"], "--dot"),
+        ("export", files["loop_f"], "--dot"),
+        ("insplit", files["loop"], "--spec", files["loop_spec"], "--weights", files["loop_f"]),
+    ):
+        reads.clear()
+        code, _, _ = run(*argv)
+        assert code == 0
+        assert sorted(reads) == sorted(set(reads)), argv[0]
+
+
 def test_transport_f_requires_phi_side(run, files):
     f = _write(files["tmp"] / "f2.weights", json.dumps({"weights": {"p": 1, "q": 2}}))
     code, _, err = run("transport", "--witness", files["tl_w"], "--f", f)

@@ -26,6 +26,8 @@ from ssekit import (
     to_dot,
 )
 from ssekit.corpus import random_graph
+from ssekit.graphs import _json_text, graph_from_json_obj
+from ssekit.sse import witness_from_json_obj
 
 
 # -- parsing and serialization ------------------------------------------------
@@ -84,6 +86,91 @@ def test_parse_malformed():
         parse_graph("{nope")
     with pytest.raises(GraphFormatError, match='"vertices"'):
         parse_graph('{"edges": []}')
+
+
+def _witness_obj(theta1):
+    return {
+        "e3": {"vertices": [], "edges": []},
+        **{key: [] for key in ("side1", "side2", "e21", "e12")},
+        "vmap1": {},
+        "vmap2": {},
+        "theta1": theta1,
+        "theta2": {},
+    }
+
+
+_E = {"id": "e", "src": "v", "rng": "v"}
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [_E, ["f", "v", "v"]]}, "edges[1]: must be an object"),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [_E, {"src": "v", "rng": "v"}]}, 'edges[1]: needs a string "id"'),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [_E, {"id": "f", "src": 1, "rng": "v"}]}, 'edges[1]: needs a string "src"'),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [dict(_E, weight=1), dict(_E, id="f", weight=True)]}, "edges[1]: weight must be an integer"),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [dict(_E, weight=1), dict(_E, id="f", weight=1.0)]}, "edges[1]: weight must be an integer"),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [dict(_E, weight=1), dict(_E, id="f")]}, "1 of 2 edges carry weights; weight either all edges or none"),
+        # the first faulty record is named, whatever a later one breaks
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [dict(_E, weight=None), {"id": "f"}]}, "edges[0]: weight must be an integer"),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "rng": "q"}, _E, _E]}, "edges[0] ('e'): unknown rng 'q'"),
+        (graph_from_json_obj, {"vertices": ["v", "v"], "edges": [_E]}, "duplicate vertex id 'v'"),
+        (graph_from_json_obj, {"vertices": ["v"], "edges": [_E, _E]}, "edges[1]: duplicate edge id 'e'"),
+        (graph_from_json_obj, {"vertices": ["v", 1], "edges": []}, '"vertices" must be a list of strings'),
+        (witness_from_json_obj, _witness_obj({"e": ["a", "b", "c"]}), '"theta1" values must be pairs of edge ids'),
+        (witness_from_json_obj, _witness_obj({"e": ["a", 1]}), '"theta1" values must be pairs of edge ids'),
+        (witness_from_json_obj, _witness_obj({"e": "ab"}), '"theta1" values must be pairs of edge ids'),
+    ],
+)
+def test_format_error_messages(parse, obj, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse(obj)
+    assert str(exc.value) == message
+
+
+def test_graph_record_errors():
+    with pytest.raises(GraphError) as exc:
+        DirectedMultigraph(("v", 1), ())
+    assert str(exc.value) == "vertex id 1 is not a string"
+    with pytest.raises(GraphError) as exc:
+        DirectedMultigraph(("v",), (Edge("e", "v", "v"), Edge("e", "v", "w"), Edge("f", "w", "v")))
+    assert str(exc.value) == "edges[1]: duplicate edge id 'e'"
+    with pytest.raises(GraphError) as exc:
+        DirectedMultigraph(("v",), (Edge("e", "v", "v"), Edge("f", "w", "v"), Edge("f", "v", "v")))
+    assert str(exc.value) == "edges[1] ('f'): unknown src 'w'"
+
+
+def test_edge_is_a_named_tuple():
+    e = Edge("e", "v", "w")
+    assert e == ("e", "v", "w") and hash(e) == hash(("e", "v", "w"))
+    assert repr(e) == "Edge(id='e', src='v', rng='w')"
+    assert (e.id, e.src, e.rng) == tuple(e)
+
+
+def test_json_text_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    awkward = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "\u2028", "\ud800", "\udfff", "😀"])
+    text = st.text(st.one_of(awkward, st.characters()), max_size=6)
+    ints = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+    scalars = st.one_of(text, ints, st.booleans(), st.none(), st.floats())
+    values = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(text, inner, max_size=4),
+            st.dictionaries(scalars, inner, max_size=3),
+        ),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(values)
+    def check(value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    check()
 
 
 def test_weights_round_trip(loop_feed):

@@ -293,6 +293,39 @@ def test_matrix_search_result_always_verifies():
                     assert matrix_essse_verify(EssePair(a, bb, found[0], found[1]))
 
 
+def test_matrix_search_found_pairs_verify_as_witnesses():
+    # every "found" becomes a graph witness that verify_sse_witness accepts,
+    # also after a JSON round trip; a factorization with a source breaking
+    # condition 4 is refused by name and fails that condition alone
+    rng = random.Random(23)
+    passed = source_failures = 0
+    for _ in range(80):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            r = _mat([[rng.randint(0, 2) for _ in range(k)] for _ in range(n)])
+            s = _mat([[rng.randint(0, 2) for _ in range(n)] for _ in range(k)])
+            a, b = r.matmul(s), s.matmul(r)
+        else:
+            a = _mat([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+            b = _mat([[rng.randint(0, 2) for _ in range(k)] for _ in range(k)])
+        found = matrix_essse_search(a, b, 2)
+        if found is None:
+            continue
+        try:
+            bundle = witness_from_essse(EssePair(a, b, *found))
+        except WitnessConstructionError as exc:
+            report = verify_sse_witness(exc.bundle.e1, exc.bundle.e2, exc.bundle.witness)
+            assert report.vertex_partition_ok and report.edge_bipartition_ok and report.theta_bijections_ok
+            assert not report.source_condition_ok
+            source_failures += 1
+            continue
+        assert verify_sse_witness(bundle.e1, bundle.e2, bundle.witness).passed
+        parsed = parse_witness(json.dumps(witness_to_json_obj(bundle.witness)))
+        assert verify_sse_witness(bundle.e1, bundle.e2, parsed).passed
+        passed += 1
+    assert passed >= 15 and source_failures > 0
+
+
 def test_matrix_search_agrees_with_unpruned_brute_force():
     def brute(a, b, m):
         n, k = a.nrows, b.nrows
