@@ -90,7 +90,7 @@ def _load_witness(path: str) -> SseWitness:
 
 
 def _load_matrix(path: str) -> NonnegIntMatrix:
-    return NonnegIntMatrix.from_json_obj(_load_json(path))
+    return _parsed(path, NonnegIntMatrix.from_json_obj, _load_json(path))
 
 
 def _load_weight_map(path: str, graph: DirectedMultigraph) -> EdgeFunction:
@@ -141,7 +141,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace, kind: str) -> int:
     g, _ = _load_graph(args.graph)
-    spec = parse_split_spec(_read(args.spec))
+    spec = _parsed(args.spec, parse_split_spec, _read(args.spec))
     if spec.kind != kind:
         raise GraphFormatError(f"{args.spec}: expected an {kind} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None

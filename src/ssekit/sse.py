@@ -17,7 +17,7 @@ graph with S counting side1-to-side2 edges and R the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -534,9 +534,14 @@ def matrix_essse_search(
     The inner dimension is forced: S*R must be square of B's size, so R is
     dim(A) x dim(B) and S is dim(B) x dim(A).  Candidates are enumerated in
     row-major lexicographic order over the concatenated (R, S) entries and the
-    first verifying pair is returned; pruning (partial product bounds, exact
-    column/row completion) only ever discards non-solutions.  The default
-    entry bound is the largest entry of A and B.
+    first verifying pair is returned; pruning only ever discards
+    non-solutions.  The default entry bound is the largest entry of A and B.
+    R is enumerated under A*R = R*B, which every solution satisfies
+    (A*R = R*S*R = R*B): equation (i, j) is checked, and fixes its last R
+    entry with a nonzero coefficient, once that entry is placed.  Row i of R
+    is cut when sum(row) * bound < max(A row i), as (R*S)(i, j) <= sum(row)
+    * bound.  S is searched only for the R that pass (partial product bounds,
+    exact column/row completion).
 
     Before any R is tried, the pair is refuted when tr(A^j) != tr(B^j) for
     some j <= N = max(dim A, dim B): tr((RS)^j) = tr((SR)^j) for every j.
@@ -558,16 +563,23 @@ def matrix_essse_search(
         return None
     if n == 0 and b.total():
         return None  # R*S is the empty A, but S*R is zero and B is not
+    if k == 0 and a.total():
+        return None  # S*R is the empty B, but R*S is zero and A is not
     m = entry_bound
 
     a_rows_max = [max(row) if row else 0 for row in a.entries]
-
-    def plausible_r(r_flat: tuple[int, ...]) -> bool:
-        for i in range(n):
-            row = r_flat[i * k : (i + 1) * k]
-            if sum(row) * m < a_rows_max[i]:
-                return False
-        return True
+    size = n * k
+    # Equation (i, j) of A*R = R*B as (position in flat R, nonzero coefficient)
+    # pairs, filed under its last position.
+    equations: list[list[list[tuple[int, int]]]] = [[] for _ in range(size)]
+    for i in range(n):
+        for j in range(k):
+            coef = {l * k + j: a.entries[i][l] for l in range(n)}
+            for t in range(k):
+                coef[i * k + t] = coef.get(i * k + t, 0) - b.entries[t][j]
+            form = sorted((p, c) for p, c in coef.items() if c)
+            if form:
+                equations[form[-1][0]].append(form)
 
     def find_s(r_flat: tuple[int, ...]) -> list[list[int]] | None:
         r = [list(r_flat[i * k : (i + 1) * k]) for i in range(n)]
@@ -611,27 +623,35 @@ def matrix_essse_search(
 
         return s if place(0) else None
 
-    def r_candidates() -> Iterator[tuple[int, ...]]:
-        """Every R in row-major lexicographic order, one at a time."""
-        digits = [0] * (n * k)
-        while True:
-            yield tuple(digits)
-            pos = len(digits) - 1
-            while pos >= 0 and digits[pos] == m:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-            digits[pos] += 1
+    r_flat = [0] * size
 
-    for r_flat in r_candidates():
-        if not plausible_r(r_flat):
-            continue
-        s_entries = find_s(r_flat)
-        if s_entries is not None:
-            r_mat = NonnegIntMatrix(
-                a.rows, b.rows, tuple(tuple(r_flat[i * k : (i + 1) * k]) for i in range(n))
-            )
-            s_mat = NonnegIntMatrix(b.rows, a.rows, tuple(tuple(row) for row in s_entries))
-            return r_mat, s_mat
-    return None
+    def place_r(pos: int) -> list[list[int]] | None:
+        """S for the least R that extends r_flat[:pos] and has one, or None."""
+        if pos == size:
+            return find_s(tuple(r_flat))
+        i, t = divmod(pos, k)
+        forms = equations[pos]
+        if forms:  # the first equation fixes the entry: its coefficient is nonzero
+            *rest, (_, c) = forms[0]
+            v, rem = divmod(-sum(r_flat[p] * x for p, x in rest), c)
+            values: Sequence[int] = (v,) if rem == 0 and 0 <= v <= m else ()
+        else:
+            values = range(m + 1)
+        for v in values:
+            r_flat[pos] = v
+            if t == k - 1 and sum(r_flat[pos - t : pos + 1]) * m < a_rows_max[i]:
+                continue
+            if any(sum(r_flat[p] * x for p, x in form) for form in forms[1:]):
+                continue
+            s_entries = place_r(pos + 1)
+            if s_entries is not None:
+                return s_entries
+        r_flat[pos] = 0
+        return None
+
+    s_entries = place_r(0)
+    if s_entries is None:
+        return None
+    r_rows = tuple(tuple(r_flat[i * k : (i + 1) * k]) for i in range(n))
+    s_rows = tuple(map(tuple, s_entries))
+    return NonnegIntMatrix(a.rows, b.rows, r_rows), NonnegIntMatrix(b.rows, a.rows, s_rows)

@@ -168,6 +168,12 @@ def test_insplit_invalid_spec_is_input_error(run, files):
     assert "miss edges" in err
 
 
+def test_split_spec_format_error_names_the_file(run, files):
+    spec = _write(files["tmp"] / "short.spec", json.dumps({"kind": "insplit"}))
+    code, out, err = run("insplit", files["loop"], "--spec", spec)
+    assert (code, out, err) == (2, "", f'error: {spec}: split spec needs "kind" and "parts"\n')
+
+
 def test_outsplit_with_weights_and_witness(run, files):
     code, out, _ = run(
         "outsplit", files["fan"], "--spec", files["fan_spec"], "--weights", files["fan_f"], "--witness"
@@ -349,6 +355,16 @@ def test_matrix_verify_false_exit_1(run, files):
     code, out, _ = run("matrix-verify", files["mat_a"], bad_b, files["mat_r"], files["mat_s"])
     assert code == 1
     assert json.loads(out) == {"equivalent": False}
+
+
+def test_matrix_format_error_names_the_file(run, files):
+    bad = _write(files["tmp"] / "rows.matrix", json.dumps({"rows": []}))
+    for argv in (
+        ("matrix-search", files["mat_a"], bad),
+        ("matrix-verify", files["mat_a"], files["mat_b"], bad, files["mat_s"]),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", f'error: {bad}: matrix needs an "entries" key\n'), argv[0]
 
 
 def test_matrix_search_found(run, files):

@@ -59,6 +59,9 @@ CASES = {
     "matrix_search_absent": ["matrix-search", "{mat_a}", "{mat_3}", "--bound", "3"],
     "matrix_search_power_trace_mismatch": ["matrix-search", "{mat_b}", "{mat_upper}"],
     "matrix_search_rect_found": ["matrix-search", "{mat_a}", "{mat_b}"],
+    "matrix_search_williams_absent": [
+        "matrix-search", "{mat_williams_a}", "{mat_williams_b}", "--bound", "6",
+    ],
     "chain_search_one_step": ["chain-search", "{loop}", "{loop_split}", "--max-steps", "1"],
     "chain_search_two_loops": ["chain-search", "{tl_e1}", "{tl_e2}", "--max-steps", "1"],
     "chain_search_composite": ["chain-search", "{tl_e1}", "{tl_far}", "--max-steps", "3"],
@@ -162,6 +165,8 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "mat_3": json.dumps({"entries": [[3]]}),
         "mat_identity": json.dumps({"entries": [[1, 0], [0, 1]]}),
         "mat_upper": json.dumps({"entries": [[1, 1], [0, 1]]}),
+        "mat_williams_a": json.dumps({"entries": [[1, 3], [2, 1]]}),
+        "mat_williams_b": json.dumps({"entries": [[1, 6], [1, 1]]}),
         "mat_r": json.dumps({"rows": ["0"], "cols": ["0", "1"], "entries": [[1, 1]]}),
         "mat_s": json.dumps({"rows": ["0", "1"], "cols": ["0"], "entries": [[1], [1]]}),
     }

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -333,6 +334,33 @@ def test_adjacency_row_is_range():
     a = adjacency_matrix(g)
     assert a.get("v", "u") == 1
     assert a.get("u", "v") == 0
+
+
+def test_adjacency_matches_dict_count_reference():
+    rng = random.Random(23)
+    parallel = 0
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=6, max_edges=16, min_vertices=2)
+        counts = collections.Counter((e.rng, e.src) for e in g.edges)
+        parallel += any(c > 1 for c in counts.values())
+        vs = list(g.vertices)
+        orders = [
+            (None, None),
+            (rng.sample(vs, len(vs)), rng.sample(vs, len(vs))),
+            (rng.sample(vs, rng.randrange(len(vs))), rng.sample(vs, rng.randrange(len(vs)))),
+            (rng.sample(vs, rng.randrange(len(vs))), vs),
+        ]
+        for rows, cols in orders:
+            a = adjacency_matrix(g, rows, cols)
+            rows = vs if rows is None else rows
+            cols = vs if cols is None else cols
+            assert (a.rows, a.cols) == (tuple(rows), tuple(cols))
+            assert a.entries == tuple(tuple(counts[(v, w)] for w in cols) for v in rows)
+        with pytest.raises(GraphError, match="^unknown vertex id 'nope'$"):
+            adjacency_matrix(g, [*vs, "nope"])
+        with pytest.raises(GraphError, match="^unknown vertex id 'nope'$"):
+            adjacency_matrix(g, vs[:1], ["nope", *vs])
+    assert parallel > 20
 
 
 def test_graph_from_matrix_two_loops():

@@ -329,12 +329,14 @@ def test_matrix_search_found_pairs_verify_as_witnesses():
 def test_matrix_search_agrees_with_unpruned_brute_force():
     def brute(a, b, m):
         n, k = a.nrows, b.nrows
+        ss = [
+            _mat([list(s_flat[t * n : (t + 1) * n]) for t in range(k)], rows=b.rows, cols=a.rows)
+            for s_flat in itertools.product(range(m + 1), repeat=k * n)
+        ]
         for r_flat in itertools.product(range(m + 1), repeat=n * k):
             r = _mat([list(r_flat[i * k : (i + 1) * k]) for i in range(n)],
                      rows=a.rows, cols=b.rows)
-            for s_flat in itertools.product(range(m + 1), repeat=k * n):
-                s = _mat([list(s_flat[t * n : (t + 1) * n]) for t in range(k)],
-                         rows=b.rows, cols=a.rows)
+            for s in ss:
                 if matrix_essse_verify(EssePair(a, b, r, s)):
                     return r, s
         return None
@@ -363,6 +365,18 @@ def test_matrix_search_agrees_with_unpruned_brute_force():
     # 1x1 against 2x2, both ways round
     found = sum(agree(_mat([[x]]), b, 2) + agree(b, _mat([[x]]), 2) for x in range(3) for b in twos)
     assert found > 4
+    # equal traces and determinants: the only 2x2 pairs that reach the R search
+    similar = [(a, b) for a in twos for b in twos if a.trace() == b.trace() and det(a) == det(b)]
+    found = [agree(a, b, m) for m in (1, 2) for a, b in similar]
+    assert len(found) == 120 and 0 < found.count(False) < len(found)
+    # planted pairs A = R*S, B = S*R from 0/1 factors, 2x3 and 3x2 R
+    rng = random.Random(5)
+    for n, k in ((2, 3), (3, 2)) * 6:
+        r = [[rng.randint(0, 1) for _ in range(k)] for _ in range(n)]
+        s = [[rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+        a = _mat(r).matmul(_mat(s))
+        b = _mat(s).matmul(_mat(r))
+        assert agree(a, b, 1)
 
 
 def test_matrix_search_empty_a_needs_zero_b():
