@@ -36,11 +36,17 @@ CASES = {
     "insplit_witness_weights_large": [
         "insplit", "{big}", "--spec", "{big_spec}", "--witness", "--weights", "{big_f}",
     ],
+    "insplit_weights": ["insplit", "{loop}", "--spec", "{loop_spec}", "--weights", "{loop_f}"],
     "insplit_funnel_witness": ["insplit", "{funnel}", "--spec", "{funnel_spec}", "--witness"],
     "insplit_invalid_spec": ["insplit", "{loop}", "--spec", "{bad_spec}"],
     "outsplit_weights": ["outsplit", "{fan}", "--spec", "{fan_spec}", "--weights", "{fan_f}"],
     "outsplit_witness_weights": [
         "outsplit", "{fan}", "--spec", "{fan_spec}", "--witness", "--weights", "{fan_f}",
+    ],
+    # w is a source: it stays whole as w^, and its edge e gets a copy e^1, e^2
+    # into each copy of x
+    "outsplit_source_witness_weights": [
+        "outsplit", "{fork_e1}", "--spec", "{fork_spec}", "--witness", "--weights", "{fork_f}",
     ],
     "sse_verify_pass": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_w}"],
     "sse_verify_fail": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_broken_w}"],
@@ -120,6 +126,8 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "fork_e2": serialize_graph(e2),
         "fork_w": json.dumps(witness_to_json_obj(w)),
         "fork_broken_w": json.dumps(witness_to_json_obj(broken)),
+        "fork_spec": json.dumps({"kind": "outsplit", "parts": {"x": [["f"], ["g"]]}}),
+        "fork_f": json.dumps({"weights": {"e": 5, "f": -2, "g": 7}}),
         "loop": serialize_graph(g_loop),
         "loop_f": serialize_graph(g_loop, f_loop),
         "loop_spec": json.dumps(spec_loop.to_json_obj()),
