@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .invariants import periodic_point_profile, sse_invariant_filter
 from .search import sse_chain_search
-from .splits import insplit_witness, outsplit_witness, parse_split_spec
+from .splits import _inherited_weights, insplit_witness, outsplit_witness, parse_split_spec
 from .sse import (
     EssePair,
     SseWitness,
@@ -146,15 +146,7 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
         raise GraphFormatError(f"{args.spec}: expected an {kind} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None
     bundle = insplit_witness(g, spec) if kind == "insplit" else outsplit_witness(g, spec)
-    g2 = None
-    if f is not None:
-        if f.graph != g:
-            raise GraphError("f is not a weight map on the graph being split")
-        # Every copy inherits its original's weight: h holds f on the phi2
-        # class, and g2 is h carried along theta2.
-        builder = weights_from_f_E21 if kind == "insplit" else weights_from_f_E12
-        h, g_implied = builder(bundle.witness, f, bundle.phi2)
-        g2 = EdgeFunction(bundle.e2, dict(g_implied.weights))
+    g2, h = _inherited_weights(g, f, bundle.application, bundle) if f is not None else (None, None)
     out: dict = {
         "e2": graph_to_json_obj(bundle.e2, g2),
         "vertex_origin": {k: list(v) for k, v in bundle.application.vertex_origin.items()},
@@ -165,7 +157,7 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
         out["witness"] = witness_to_json_obj(bundle.witness)
         out["phi1"] = dict(bundle.phi1)
         out["phi2"] = dict(bundle.phi2)
-        if f is not None:
+        if h is not None:
             out["h"] = _weight_obj(h)
     _emit(out)
     return EXIT_OK

@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .graphs import DirectedMultigraph, Edge, EdgeFunction
-from .splits import SplitSpec
+from .splits import SplitSpec, _mapped_fibers
 
 
 def random_graph(
@@ -45,22 +45,18 @@ def random_partition(
     return tuple(tuple(blocks[b]) for b in order)
 
 
+def _random_split_spec(rng: random.Random, g: DirectedMultigraph, kind: str, max_parts: int) -> SplitSpec:
+    """A random valid spec: a random partition of each mapped vertex's fiber."""
+    fibers = _mapped_fibers(g, kind)
+    return SplitSpec(kind, {v: random_partition(rng, [e.id for e in es], max_parts) for v, es in fibers})
+
+
 def random_insplit_spec(rng: random.Random, g: DirectedMultigraph, max_parts: int = 3) -> SplitSpec:
-    parts = {
-        v: random_partition(rng, [e.id for e in g.in_edges(v)], max_parts)
-        for v in g.vertices
-        if g.in_edges(v)
-    }
-    return SplitSpec("insplit", parts)
+    return _random_split_spec(rng, g, "insplit", max_parts)
 
 
 def random_outsplit_spec(rng: random.Random, g: DirectedMultigraph, max_parts: int = 3) -> SplitSpec:
-    parts = {
-        v: random_partition(rng, [e.id for e in g.out_edges(v)], max_parts)
-        for v in g.vertices
-        if g.out_edges(v) and g.in_edges(v)
-    }
-    return SplitSpec("outsplit", parts)
+    return _random_split_spec(rng, g, "outsplit", max_parts)
 
 
 def random_edge_function(

@@ -34,8 +34,7 @@ from .invariants import sse_invariant_filter
 from .splits import (
     Classes,
     SplitSpec,
-    _build_insplit,
-    _build_outsplit,
+    _build_split,
     split_counts,
     split_ends,
     vector_split_spec,
@@ -152,7 +151,7 @@ class _SearchSide:
         for state in reversed(moves):
             spec = vector_split_spec(g, state.move, state.parts)  # type: ignore[arg-type]
             # vector_split_spec builds only valid specs
-            g = (_build_insplit if state.move == "insplit" else _build_outsplit)(g, spec).graph
+            g = _build_split(g, spec).graph
             steps.append(ChainStep(state.move, spec, g))  # type: ignore[arg-type]
         return steps
 

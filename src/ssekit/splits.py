@@ -15,7 +15,12 @@ split spec is the copy index the construction uses.
 Both splits are strong shift equivalences; the witness constructors build the
 intermediate graph together with the canonical theta bijections and the
 class bijections (phi1 on the new graph's vertices, phi2 on the original
-edges) that drive weight transport.
+edges).  One rule carries a weighting f across either kind of split: every
+edge copy inherits its original's weight, and the intermediate weighting h
+is f on the phi2 class and 0 on the phi1 class.  Each theta path is one
+edge of each class, the phi2 edge standing for the original edge, so both
+theta maps are weight-preserving (Lind & Marcus, *An Introduction to
+Symbolic Dynamics and Coding*, §2.4).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .graphs import (
     parse_json,
 )
 from .sse import SseWitness, _fresh_ids
-from .weights import weights_from_f_E12
 
 
 @dataclass(frozen=True)
@@ -170,53 +174,12 @@ class SplitApplication:
     edge_origin: Mapping[str, tuple[str, int | None]]
 
 
-def _copy_vertices(
-    g: DirectedMultigraph, spec: SplitSpec, marker: str
-) -> tuple[list[str], dict[str, tuple[str, int | None]]]:
-    vertices: list[str] = []
-    origin: dict[str, tuple[str, int | None]] = {}
-    for v in g.vertices:
-        mv = spec.m(v)
-        if mv == 0:
-            nid = f"{v}{marker}"
-            vertices.append(nid)
-            origin[nid] = (v, None)
-        else:
-            for i in range(1, mv + 1):
-                nid = f"{v}{marker}{i}"
-                vertices.append(nid)
-                origin[nid] = (v, i)
-    return vertices, origin
-
-
 def insplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
     """Form the insplit graph: one vertex per incoming-edge class, one edge
     copy per class at the edge's source; the copy's range is the class of the
     original edge."""
     _require(g, spec, "insplit")
-    return _build_insplit(g, spec)
-
-
-def _build_insplit(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
-    """``insplit_apply`` for a spec already known to be a valid insplit."""
-    cls_idx = spec.class_index()
-    vertices, vertex_origin = _copy_vertices(g, spec, "~")
-    edges: list[Edge] = []
-    edge_origin: dict[str, tuple[str, int | None]] = {}
-    for e in g.edges:
-        rng_copy = f"{e.rng}~{cls_idx[e.id]}"
-        ms = spec.m(e.src)
-        if ms == 0:
-            nid = f"{e.id}~"
-            edges.append(Edge(nid, f"{e.src}~", rng_copy))
-            edge_origin[nid] = (e.id, None)
-        else:
-            for j in range(1, ms + 1):
-                nid = f"{e.id}~{j}"
-                edges.append(Edge(nid, f"{e.src}~{j}", rng_copy))
-                edge_origin[nid] = (e.id, j)
-    graph = DirectedMultigraph(tuple(vertices), tuple(edges))
-    return SplitApplication(graph, vertex_origin, edge_origin)
+    return _build_split(g, spec)
 
 
 def outsplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
@@ -224,39 +187,49 @@ def outsplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
     copy per class at the edge's range; the copy's source is the class of the
     original edge (sources keep their whole out-bundle on the unindexed copy)."""
     _require(g, spec, "outsplit")
-    return _build_outsplit(g, spec)
+    return _build_split(g, spec)
 
 
-def _build_outsplit(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
-    """``outsplit_apply`` for a spec already known to be a valid outsplit."""
+def _build_split(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
+    """The split graph of a spec already known to be valid for ``g``.
+
+    Vertex v becomes the copies ``v<m>1`` .. ``v<m>k`` for its k classes, or
+    ``v<m>`` when it has none, with ``<m>`` the kind's marker.  An edge's
+    near end (its range for an insplit, its source for an outsplit) goes to
+    the copy of its class, unindexed when that end is unpartitioned; the
+    edge is copied once per copy of its far end, taking that copy's suffix."""
+    insplit = spec.kind == "insplit"
+    marker = "~" if insplit else "^"
     cls_idx = spec.class_index()
-    vertices, vertex_origin = _copy_vertices(g, spec, "^")
+    copies = {
+        v: [(f"{marker}{i}", i) for i in range(1, spec.m(v) + 1)] or [(marker, None)]
+        for v in g.vertices
+    }
+    vertex_origin = {v + sfx: (v, i) for v in g.vertices for sfx, i in copies[v]}
     edges: list[Edge] = []
     edge_origin: dict[str, tuple[str, int | None]] = {}
     for e in g.edges:
-        si = cls_idx.get(e.id)
-        src_copy = f"{e.src}^{si}" if si is not None else f"{e.src}^"
-        mr = spec.m(e.rng)
-        if mr == 0:
-            nid = f"{e.id}^"
-            edges.append(Edge(nid, src_copy, f"{e.rng}^"))
-            edge_origin[nid] = (e.id, None)
-        else:
-            for j in range(1, mr + 1):
-                nid = f"{e.id}^{j}"
-                edges.append(Edge(nid, src_copy, f"{e.rng}^{j}"))
-                edge_origin[nid] = (e.id, j)
-    graph = DirectedMultigraph(tuple(vertices), tuple(edges))
+        near, far = (e.rng, e.src) if insplit else (e.src, e.rng)
+        near_copy = f"{near}{marker}{cls_idx.get(e.id, '')}"
+        for sfx, j in copies[far]:
+            nid = e.id + sfx
+            edges.append(Edge(nid, far + sfx, near_copy) if insplit else Edge(nid, near_copy, far + sfx))
+            edge_origin[nid] = (e.id, j)
+    graph = DirectedMultigraph(tuple(vertex_origin), tuple(edges))
     return SplitApplication(graph, vertex_origin, edge_origin)
 
 
 @dataclass(frozen=True)
 class SplitWitnessBundle:
-    e2: DirectedMultigraph
     witness: SseWitness
     phi1: Mapping[str, str]  # split-graph vertices -> witness edges
     phi2: Mapping[str, str]  # original edges -> witness edges
     application: SplitApplication
+
+    @property
+    def e2(self) -> DirectedMultigraph:
+        """The split graph, side 2 of the witness."""
+        return self.application.graph
 
 
 def _split_bundle(
@@ -288,7 +261,7 @@ def _split_bundle(
         theta1,
         theta2,
     )
-    return SplitWitnessBundle(app.graph, witness, phi1, phi2, app)
+    return SplitWitnessBundle(witness, phi1, phi2, app)
 
 
 def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
@@ -297,8 +270,7 @@ def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundl
     the copy of its class (phi2); theta1 = phi1 after phi2, theta2 reads the
     copy's source off phi1."""
     app = insplit_apply(g, spec)
-    cls_idx = spec.class_index()
-    rng_copy = {e.id: f"{e.rng}~{cls_idx[e.id]}" for e in g.edges}
+    rng_copy = {app.edge_origin[c.id][0]: c.rng for c in app.graph.edges}  # the same for every copy
     phi2 = {e.id: f"e21:{e.id}" for e in g.edges}
     phi1 = {v2: f"e12:{v2}" for v2 in app.graph.vertices}
     return _split_bundle(
@@ -319,8 +291,7 @@ def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBund
     the copy of its class (phi2); theta1 = phi2 after phi1, theta2 reads the
     copy's range off phi1."""
     app = outsplit_apply(g, spec)
-    cls_idx = spec.class_index()
-    src_copy = {e.id: f"{e.src}^{cls_idx.get(e.id, '')}" for e in g.edges}
+    src_copy = {app.edge_origin[c.id][0]: c.src for c in app.graph.edges}  # the same for every copy
     phi1 = {v2: f"e21:{v2}" for v2 in app.graph.vertices}
     phi2 = {e.id: f"e12:{e.id}" for e in g.edges}
     return _split_bundle(
@@ -335,15 +306,26 @@ def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBund
     )
 
 
+def _inherited_weights(
+    g: DirectedMultigraph, f: EdgeFunction, app: SplitApplication, bundle: SplitWitnessBundle | None = None
+) -> tuple[EdgeFunction, EdgeFunction | None]:
+    """(g2, h): a weighting f of ``g`` pushed through its split ``app`` by the
+    module's weight rule, g2(copy) = f(original); h is None unless the
+    split's witness ``bundle`` is given."""
+    if f.graph != g:
+        raise GraphError("f is not a weight map on the graph being split")
+    g2 = EdgeFunction(app.graph, {ne: f(origin) for ne, (origin, _) in app.edge_origin.items()})
+    if bundle is None:
+        return g2, None
+    h = dict.fromkeys(bundle.witness.e3.edge_ids(), 0)
+    h.update((eta, f(eid)) for eid, eta in bundle.phi2.items())
+    return g2, EdgeFunction(bundle.witness.e3, h)
+
+
 def insplit_transport_f(g: DirectedMultigraph, spec: SplitSpec, f: EdgeFunction) -> EdgeFunction:
     """Push a weighting through an insplit: every copy inherits its original's
     weight, which makes the witness' theta maps weight-preserving."""
-    if f.graph != g:
-        raise GraphError("f is not a weight map on the graph being split")
-    app = insplit_apply(g, spec)
-    return EdgeFunction(
-        app.graph, {ne: f(app.edge_origin[ne][0]) for ne in app.graph.edge_ids()}
-    )
+    return _inherited_weights(g, f, insplit_apply(g, spec))[0]
 
 
 @dataclass
@@ -396,18 +378,10 @@ def insplit_reverse_transport(
 def outsplit_transport_f(
     g: DirectedMultigraph, spec: SplitSpec, f: EdgeFunction
 ) -> tuple[EdgeFunction, EdgeFunction]:
-    """Push a weighting through an outsplit; returns (g2, h).
-
-    Every copy inherits its original's weight; h keeps f's values on the
-    side2-to-side1 witness edges and zeroes the rest, making both theta maps
-    weight-preserving.
-    """
-    if f.graph != g:
-        raise GraphError("f is not a weight map on the graph being split")
+    """Push a weighting through an outsplit by the module's weight rule;
+    returns (g2, h)."""
     bundle = outsplit_witness(g, spec)
-    h, g_implied = weights_from_f_E12(bundle.witness, f, bundle.phi2)
-    g2 = EdgeFunction(bundle.e2, dict(g_implied.weights))
-    return g2, h
+    return _inherited_weights(g, f, bundle.application, bundle)  # type: ignore[return-value]
 
 
 # -- split moves on count matrices, for the chain search ---------------------
@@ -558,8 +532,8 @@ def widest_split_vertex_count(n: int, ends: Sequence[tuple[int, int]], max_parts
 def split_counts(m: Sequence[Sequence[int]], kind: str, parts: Mapping[int, Classes]) -> list[tuple[int, ...]]:
     """The count matrix of the split by ``(kind, parts)`` of the graph with
     count matrix ``m``: row i, column j counts the edges from copy i to copy
-    j, copies in the order ``_build_insplit`` / ``_build_outsplit`` give the
-    split of ``vector_split_spec``'s spec."""
+    j, copies in the order ``_build_split`` gives the split of
+    ``vector_split_spec``'s spec."""
     if kind == "insplit":
         # an unpartitioned vertex receives nothing; its column is its one class
         cls = [parts.get(v) or (col,) for v, col in enumerate(zip(*m))]
@@ -578,8 +552,8 @@ def split_ends(
     n: int, ends: Sequence[tuple[int, int]], kind: str, parts: Mapping[int, Classes]
 ) -> list[tuple[int, int]]:
     """The edges of the split by ``(kind, parts)`` as (source, range)
-    positions, in the order ``_build_insplit`` / ``_build_outsplit`` give
-    them for ``vector_split_spec``'s spec."""
+    positions, in the order ``_build_split`` gives them for
+    ``vector_split_spec``'s spec."""
     far = 0 if kind == "insplit" else 1  # the end away from the partitioned vertex
     cls = [0] * len(ends)  # class of each edge in its fiber
     for v, ks in _fibers(n, ends, kind):

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -493,3 +495,23 @@ def test_console_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sources"] == ["w"]
+
+
+def test_library_imports_only_stdlib():
+    """The library depends on nothing outside the standard library: networkx,
+    sympy and hypothesis serve the tests only.  Relative imports stay within
+    the package."""
+    package = pathlib.Path(__file__).parent.parent / "src" / "ssekit"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names if n.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

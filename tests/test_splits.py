@@ -21,6 +21,7 @@ from ssekit import (
     outsplit_witness,
     validate_split_spec,
     verify_sse_witness,
+    weights_from_f_E12,
     weights_from_f_E21,
 )
 from ssekit.corpus import (
@@ -31,8 +32,8 @@ from ssekit.corpus import (
 )
 from ssekit.graphs import _count_matrix, canonical_key, canonical_key_of_counts
 from ssekit.splits import (
-    _build_insplit,
-    _build_outsplit,
+    _build_split,
+    _inherited_weights,
     _first_classes,
     _vector_partitions,
     split_counts,
@@ -204,14 +205,24 @@ def test_insplit_transport_zero(loop_feed):
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
 
 
-def test_insplit_transport_agrees_with_weights_route(loop_feed):
-    g, f, spec = loop_feed
-    direct = insplit_transport_f(g, spec, f)
-    bundle = insplit_witness(g, spec)
-    _, via_witness = weights_from_f_E21(bundle.witness, f, bundle.phi2)
-    assert {e: direct(e) for e in direct.graph.edge_ids()} == {
-        e: via_witness(e) for e in via_witness.graph.edge_ids()
-    }
+def test_split_transport_agrees_with_weights_route():
+    """The direct weight rule against the witness route on seeded graphs:
+    g2 from ``insplit_transport_f`` and ``outsplit_transport_f``, h from
+    ``outsplit_transport_f``, and the (g2, h) the CLI prints must equal what
+    ``weights_from_f_E21`` / ``weights_from_f_E12`` build from phi2 (h on
+    phi2's class, g2 carried along theta2)."""
+    rng = random.Random(61)
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=5, max_edges=10)
+        f = random_edge_function(rng, g)
+        ispec, ospec = random_insplit_spec(rng, g, 3), random_outsplit_spec(rng, g, 3)
+        ibundle, obundle = insplit_witness(g, ispec), outsplit_witness(g, ospec)
+        ih, ig2 = weights_from_f_E21(ibundle.witness, f, ibundle.phi2)
+        oh, og2 = weights_from_f_E12(obundle.witness, f, obundle.phi2)
+        assert insplit_transport_f(g, ispec, f) == ig2
+        assert outsplit_transport_f(g, ospec, f) == (og2, oh)
+        assert _inherited_weights(g, f, ibundle.application, ibundle) == (ig2, ih)
+        assert _inherited_weights(g, f, obundle.application, obundle) == (og2, oh)
 
 
 # -- reverse transport -------------------------------------------------------------
@@ -432,7 +443,7 @@ def _moves(g, max_parts, max_vertices=math.inf):
 
 def _built(g, kind, parts):
     spec = vector_split_spec(g, kind, parts)
-    return spec, (_build_insplit if kind == "insplit" else _build_outsplit)(g, spec).graph
+    return spec, _build_split(g, spec).graph
 
 
 def test_enumerate_split_specs_all_valid(loop_feed):

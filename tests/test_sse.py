@@ -29,8 +29,7 @@ from ssekit import (
 )
 from ssekit import search
 from ssekit.splits import (
-    _build_insplit,
-    _build_outsplit,
+    _build_split,
     insplit_apply,
     outsplit_apply,
 )
@@ -707,8 +706,7 @@ class _UnboundedEnumerationSide:
                     if split_vertex_count(g, spec) > self.max_vertices:
                         self.truncated = True
                         continue
-                    build = _build_insplit if move == "insplit" else _build_outsplit
-                    child = build(g, spec).graph
+                    child = _build_split(g, spec).graph
                     child_key = canonical_key(child)
                     if child_key not in self.states:
                         self.states[child_key] = (child, key, move, spec)
