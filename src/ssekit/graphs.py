@@ -501,6 +501,8 @@ def parse_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise GraphFormatError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
 

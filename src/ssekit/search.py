@@ -10,23 +10,24 @@ matrix B = E·D (Lind & Marcus, *An Introduction to Symbolic Dynamics and
 Coding*, §2.4 and §7.2).  A state is a count matrix keyed by its canonical
 form, and a move is one vector partition per vertex, of its in-count column
 for an insplit or its out-count row for an outsplit, so parallel edges do
-not multiply the moves.  Labelled graphs and specs are built only for the
-legs returned, by replaying their moves from the labelled root.  A move
-replays as the first labelled spec with its class vectors, which is the
-spec that first reaches the child in the labelled enumeration order, so the
-printed legs are those of a search over labelled specs.
+not multiply the moves.  Moves often give a matrix already reached (the
+move with one class per vertex gives its parent's own), so each side keys
+each distinct count matrix once and looks the key up after.  Labelled
+graphs and specs are built only for the legs returned, by replaying their
+moves from the labelled root.  A move replays as the first labelled spec
+with its class vectors, which is the spec that first reaches the child in
+the labelled enumeration order, so the printed legs are those of a search
+over labelled specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .graphs import (
     DirectedMultigraph,
     GraphError,
     _count_matrix,
-    canonical_key,
     canonical_key_of_counts,
     graph_to_json_obj,
 )
@@ -94,7 +95,7 @@ class ChainSearchResult:
 
 @dataclass
 class _State:
-    counts: Sequence[Sequence[int]]  # count matrix, in the vertex order of the graph leg() builds
+    counts: tuple[tuple[int, ...], ...]  # count matrix, in the vertex order of the graph leg() builds
     parent: tuple | None
     move: str | None
     parts: dict[int, Classes] | None  # class count vectors per partitioned vertex
@@ -104,8 +105,10 @@ class _State:
 class _SearchSide:
     """One endpoint's forward search.  A state is a count matrix keyed by
     its canonical form; a move is a vector partition per vertex
-    (``vector_splits``).  Labelled graphs are built only for the legs that
-    ``leg`` returns, by replaying the moves from the root."""
+    (``vector_splits``).  ``keys`` maps each count matrix reached, as a
+    tuple of rows in the order it was computed in, to its canonical key, so
+    the side keys each distinct matrix once.  Labelled graphs are built only
+    for the legs that ``leg`` returns, by replaying the moves from the root."""
 
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
         self.root = root
@@ -114,8 +117,10 @@ class _SearchSide:
         self.truncated = False
         vidx = {v: i for i, v in enumerate(root.vertices)}
         ends = [(vidx[e.src], vidx[e.rng]) for e in root.edges]
-        root_key = canonical_key(root)
-        self.states: dict[tuple, _State] = {root_key: _State(_count_matrix(root), None, None, None, ends)}
+        counts = tuple(map(tuple, _count_matrix(root)))
+        root_key = canonical_key_of_counts(counts)
+        self.keys: dict[tuple, tuple] = {counts: root_key}
+        self.states: dict[tuple, _State] = {root_key: _State(counts, None, None, None, ends)}
         self.layers: list[list[tuple]] = [[root_key]]
 
     def expand_to(self, depth: int) -> None:
@@ -134,7 +139,9 @@ class _SearchSide:
                     self.truncated = True
                 for move, parts in vector_splits(n, state.ends, self.max_parts, self.max_vertices):
                     counts = split_counts(state.counts, move, parts)
-                    child_key = canonical_key_of_counts(counts)
+                    child_key = self.keys.get(counts)
+                    if child_key is None:
+                        child_key = self.keys[counts] = canonical_key_of_counts(counts)
                     if child_key not in self.states:
                         self.states[child_key] = _State(counts, key, move, parts)
                         new_layer.append(child_key)
@@ -180,8 +187,9 @@ def sse_chain_search(
     -- tighten the bounds before probing dense graphs.  Parallel edges add
     no moves.  ``max_vertices`` is applied inside that product, so moves
     over it are never tried; each remaining child's count matrix is
-    computed from the parent's and keyed, and labelled graphs are built only
-    for the legs returned.
+    computed from the parent's, and each side keys each distinct count
+    matrix once, so a move back to a matrix already reached costs a lookup.
+    Labelled graphs are built only for the legs returned.
     Depth pairs are explored balanced-first within each total step count, so
     one-sided deep expansion happens only when nothing shallower meets; once
     both frontiers are empty and no pair can meet, the search stops early.

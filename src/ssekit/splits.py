@@ -529,23 +529,26 @@ def widest_split_vertex_count(n: int, ends: Sequence[tuple[int, int]], max_parts
     )
 
 
-def split_counts(m: Sequence[Sequence[int]], kind: str, parts: Mapping[int, Classes]) -> list[tuple[int, ...]]:
+def split_counts(
+    m: Sequence[Sequence[int]], kind: str, parts: Mapping[int, Classes]
+) -> tuple[tuple[int, ...], ...]:
     """The count matrix of the split by ``(kind, parts)`` of the graph with
     count matrix ``m``: row i, column j counts the edges from copy i to copy
     j, copies in the order ``_build_split`` gives the split of
-    ``vector_split_spec``'s spec."""
+    ``vector_split_spec``'s spec.  A tuple of row tuples, so it can key a
+    dict."""
     if kind == "insplit":
         # an unpartitioned vertex receives nothing; its column is its one class
         cls = [parts.get(v) or (col,) for v, col in enumerate(zip(*m))]
         # every copy of u emits a copy of each u -> v edge, into the copy of
         # v that holds the edge's class
         rows = [tuple([vec[u] for cs in cls for vec in cs]) for u in range(len(m))]
-        return [row for row, cs in zip(rows, cls) for _ in cs]
+        return tuple([row for row, cs in zip(rows, cls) for _ in cs])
     # an unpartitioned vertex (a source or a sink) keeps its row whole
     cls = [parts.get(u) or (tuple(row),) for u, row in enumerate(m)]
     copies = [len(cs) for cs in cls]
     # each copy of u emits its class; each edge gets a copy into every copy of its range
-    return [tuple([k for k, c in zip(vec, copies) for _ in range(c)]) for cs in cls for vec in cs]
+    return tuple([tuple([k for k, c in zip(vec, copies) for _ in range(c)]) for cs in cls for vec in cs])
 
 
 def split_ends(

@@ -199,6 +199,85 @@ def test_golden_cli(case, inputs, capsys, request):
     assert code == json.loads(EXIT_CODES.read_text())[case]
 
 
+def _json_paths(obj, path=()):
+    """Every path into ``obj``, parents before children."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _read_text(path: str) -> str:
+    return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def test_chain_search_fuzzed_inputs_keep_the_exit_contract(inputs, capsys, tmp_path):
+    # Mutated chain-search golden inputs: whatever the damage, the command
+    # exits 0, 1 (with a reason) or 2 (with an error message), never with a
+    # traceback, and prints the same bytes on a second run.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = sorted({arg[1:-1] for case, argv in CASES.items() if case.startswith("chain_search") for arg in argv[1:3]})
+    too_long = int("9" * 40)  # written out as an integer past the interpreter's digit limit
+    huge = st.sampled_from([2**63, -(2**64), 10**40, too_long])
+    odd_values = st.one_of(huge, st.sampled_from([None, True, 1.5, "", "a", [], {}, ["a"], {"id": "a"}]))
+
+    @st.composite
+    def mutated(draw):
+        if draw(st.integers(0, 9)) == 0:
+            return _read_text(inputs["tl_w"])  # a witness where a graph is expected
+        obj = json.loads(_read_text(inputs[draw(st.sampled_from(names))]))
+        for _ in range(draw(st.integers(0, 2))):
+            path = draw(st.sampled_from(list(_json_paths(obj))))
+            kind = draw(st.sampled_from(["drop", "retype", "duplicate"]))
+            if not path:
+                obj = draw(odd_values)
+                continue
+            *head, key = path
+            parent = obj
+            for k in head:
+                parent = parent[k]
+            if kind == "drop":
+                del parent[key]
+            elif kind == "duplicate" and isinstance(parent, list):
+                parent.append(parent[key])  # a repeated vertex id or edge record
+            else:
+                parent[key] = draw(odd_values)
+        # json.dumps cannot write an integer past the digit limit, so splice it in as text
+        return json.dumps(obj).replace(str(too_long), "9" * 5000)
+
+    bounds = st.lists(st.sampled_from(["--max-steps", "--max-vertices", "--max-parts"]), unique=True).flatmap(
+        lambda flags: st.tuples(*[st.tuples(st.just(f), st.integers(-2, 3)) for f in flags])
+    )
+    codes = set()
+
+    @hypothesis.settings(max_examples=120)
+    @hypothesis.given(mutated(), st.sampled_from(names), st.booleans(), bounds)
+    def check(text, other, first, flags):
+        path = tmp_path / "mutated.graph"
+        path.write_text(text, encoding="utf-8")
+        pair = [str(path), inputs[other]] if first else [inputs[other], str(path)]
+        argv = ["chain-search", *pair, *(str(x) for flag in flags for x in flag)]
+        if not any(flag == "--max-vertices" for flag, _ in flags):
+            argv += ["--max-vertices", "4"]  # the default 10 is slow on the biggest inputs
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, out, err))
+        assert runs[0] == runs[1]
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 1:
+            assert "reason" in json.loads(out)
+        if code == 2:
+            assert out == "" and err.startswith("error:")
+        codes.add(code)
+
+    check()
+    assert codes == {0, 1, 2}
+
+
 class _GoldenUpdate:
     def pytest_configure(self, config):
         config.golden_update = True

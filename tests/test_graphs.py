@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -87,6 +88,10 @@ def test_parse_malformed():
         parse_graph("{nope")
     with pytest.raises(GraphFormatError, match='"vertices"'):
         parse_graph('{"edges": []}')
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # json.loads raises a bare ValueError past the integer digit limit
+        with pytest.raises(GraphFormatError, match="integer literal too long"):
+            parse_graph('{"vertices": [' + "9" * (limit + 1) + '], "edges": []}')
 
 
 def _witness_obj(theta1):

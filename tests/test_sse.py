@@ -751,25 +751,82 @@ def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
     assert set(outcomes) == {(s, t) for s in ("found", "absent") for t in (True, False)}
 
 
+def test_chain_search_matches_unbounded_enumeration_on_random_pairs(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        # vertex order differs from name order, so legs print labelled copies
+        vertices = tuple(draw(st.permutations("abc"))[: draw(st.integers(1, 3))])
+        ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=5))
+        return DirectedMultigraph(vertices, tuple(Edge(f"e{i}", s, r) for i, (s, r) in enumerate(ends)))
+
+    @st.composite
+    def pairs(draw):
+        e1 = draw(graphs())
+        if draw(st.booleans()):
+            return e1, draw(graphs())
+        # a proper split of e1 within the same limits, so the pair is SSE
+        splits = (_build_split(e1, spec).graph for _, spec in enumerate_split_specs(e1, 2))
+        grown = [g for g in splits if len(e1.vertices) < len(g.vertices) <= 3 and len(g.edges) <= 5]
+        return e1, draw(st.sampled_from(grown or [e1]))
+
+    def run(side, args):
+        """The result, and each side's layers as sets of keys."""
+        sides = []
+
+        class Recorded(side):
+            def __init__(self, *side_args):
+                super().__init__(*side_args)
+                sides.append(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_SearchSide", Recorded)
+            result = sse_chain_search(*args).to_json_obj()
+        return result, [[set(layer) for layer in s.layers] for s in sides]
+
+    outcomes = []
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(pairs(), st.integers(0, 2), st.integers(1, 5))
+    def check(pair, max_steps, max_vertices):
+        args = (*pair, max_steps, max_vertices)
+        fast = run(search._SearchSide, args)
+        assert fast == run(_UnboundedEnumerationSide, args)
+        result = fast[0]
+        outcomes.append(result.get("reason") or ("found" if result["total_steps"] else "same graph"))
+
+    check()
+    # the draws reach a chain of at least one step and every reason for absence
+    assert set(outcomes) >= {"found", "invariant-mismatch", "depth-bound-reached", "search-space-exhausted"}
+
+
 def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     # Williams' pair: B's vertex 1 emits six parallel edges and one more, so
     # labelled edge partitions overcount its moves.  Searched by labelled
     # specs, these bounds keyed 10,560 children; by vector partitions, each
-    # child is keyed once per move.
+    # distinct count matrix is keyed once per side, the two roots included.
     from ssekit import graph_from_matrix
 
-    keyed = []
+    keyed = []  # (side, matrix) per call
     sides = []
+    keying = []  # the side that is computing keys
     canonical = search.canonical_key_of_counts
 
     def key(m):
-        keyed.append(m)
+        keyed.append((keying[-1], m))
         return canonical(m)
 
     class Side(search._SearchSide):
         def __init__(self, *args):
-            super().__init__(*args)
+            keying.append(len(sides))
             sides.append(self)
+            super().__init__(*args)
+
+        def expand_to(self, depth):
+            keying.append(sides.index(self))
+            super().expand_to(depth)
 
     monkeypatch.setattr(search, "canonical_key_of_counts", key)
     monkeypatch.setattr(search, "_SearchSide", Side)
@@ -777,7 +834,8 @@ def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     b = graph_from_matrix(_mat([[1, 6], [1, 1]]))
     result = sse_chain_search(a, b, max_steps=2, max_vertices=4)
     assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", True)
-    assert len(keyed) == 788
+    assert len(keyed) == 551
+    assert len(set(keyed)) == len(keyed)  # no side keys a matrix twice
     assert [len(side.states) for side in sides] == [197, 317]
     assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22, 174], [1, 26, 290]]
 
