@@ -153,7 +153,6 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
         "edge_origin": {k: list(v) for k, v in bundle.application.edge_origin.items()},
     }
     if args.witness:
-        out["e3"] = graph_to_json_obj(bundle.witness.e3)
         out["witness"] = witness_to_json_obj(bundle.witness)
         out["phi1"] = dict(bundle.phi1)
         out["phi2"] = dict(bundle.phi2)
