@@ -11,7 +11,6 @@ from .graphs import (
     Path,
     adjacency_matrix,
     canonical_key,
-    canonical_text,
     classify_vertices,
     graph_from_matrix,
     is_isomorphic,
@@ -19,7 +18,6 @@ from .graphs import (
     parse_graph_with_weights,
     path_weight,
     paths_between,
-    same_graph,
     serialize_graph,
     to_dot,
 )

@@ -516,23 +516,6 @@ def parse_graph(text: str) -> DirectedMultigraph:
     return parse_graph_with_weights(text)[0]
 
 
-def canonical_text(g: DirectedMultigraph) -> str:
-    """Order-insensitive serialization (sorted ids); the equality of record."""
-    obj = {
-        "vertices": sorted(g.vertices),
-        "edges": sorted(
-            ({"id": e.id, "src": e.src, "rng": e.rng} for e in g.edges),
-            key=lambda r: r["id"],
-        ),
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def same_graph(g1: DirectedMultigraph, g2: DirectedMultigraph) -> bool:
-    """Same ids and structure, any vertex/edge order."""
-    return canonical_text(g1) == canonical_text(g2)
-
-
 def to_dot(
     g: DirectedMultigraph,
     weights: EdgeFunction | None = None,

@@ -12,7 +12,7 @@ reproducible byte for byte and recoverable from ids alone:
 Class lists are 1-based and order-significant: a class's position in the
 split spec is the copy index the construction uses.
 
-Both splits are strong shift equivalences; the witness constructors build the
+Both splits are strong shift equivalences; one witness constructor builds the
 intermediate graph together with the canonical theta bijections and the
 class bijections (phi1 on the new graph's vertices, phi2 on the original
 edges).  One rule carries a weighting f across either kind of split: every
@@ -97,7 +97,6 @@ def parse_split_spec(text: str) -> SplitSpec:
 class SplitReport:
     valid: bool
     violations: list[str]
-    m: dict[str, int]
 
 
 class SplitSpecError(GraphError):
@@ -155,8 +154,7 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
             violations.append(f"vertex {v!r}: classes miss edges {sorted(missing)}")
         if extra:
             violations.append(f"vertex {v!r}: classes contain foreign edges {sorted(extra)}")
-    m = {v: spec.m(v) for v in g.vertices}
-    return SplitReport(not violations, violations, m)
+    return SplitReport(not violations, violations)
 
 
 def _require(g: DirectedMultigraph, spec: SplitSpec, kind: str) -> None:
@@ -232,24 +230,31 @@ class SplitWitnessBundle:
         return self.application.graph
 
 
-def _split_bundle(
-    g: DirectedMultigraph,
-    app: SplitApplication,
-    e21: list[tuple[str, str, str]],
-    e12: list[tuple[str, str, str]],
-    theta1: dict[str, tuple[str, str]],
-    theta2: dict[str, tuple[str, str]],
-    phi1: dict[str, str],
-    phi2: dict[str, str],
-) -> SplitWitnessBundle:
-    """Assemble a split's witness.  Side 1 keeps ``g``'s vertex ids and side 2
-    takes the split graph's, primed where they collide.  ``e21`` lists
-    (edge id, vertex of g, vertex of the split graph), ``e12`` the reverse."""
+def _split_witness(g: DirectedMultigraph, app: SplitApplication, insplit: bool) -> SplitWitnessBundle:
+    """The witness of the split ``app`` of ``g``.  Side 1 keeps ``g``'s vertex
+    ids and side 2 takes the split graph's, primed where they collide.
+
+    phi2 gives each original edge a witness edge between its far end in ``g``
+    and its near end's copy; phi1 gives each split-graph vertex an edge to
+    its original.  The phi2 edges are the e21 class of an insplit and the e12
+    class of an outsplit.  A theta pair is the same two edges for both kinds,
+    in the opposite order: theta1(e) is phi1(near copy) with phi2(e), theta2(c)
+    is phi2(origin of c) with phi1(far copy of c), in that order for an
+    insplit."""
     side1 = tuple(g.vertices)
     vmap2 = _fresh_ids(side1, app.graph.vertices)
     side2 = tuple(vmap2.values())
-    edges = [Edge(eta, v, vmap2[x]) for eta, v, x in e21]
-    edges += [Edge(eta, vmap2[x], v) for eta, x, v in e12]
+    cls2, cls1 = ("e21", "e12") if insplit else ("e12", "e21")
+    order = 1 if insplit else -1
+    # the copy of each original edge's near end, the same for every edge copy
+    near = {app.edge_origin[c.id][0]: c.rng if insplit else c.src for c in app.graph.edges}
+    phi1 = {x: f"{cls1}:{x}" for x in app.graph.vertices}
+    phi2 = {e.id: f"{cls2}:{e.id}" for e in g.edges}
+    # (witness edge, its end in g, its end in the split graph)
+    ends2 = [(phi2[e.id], e.src if insplit else e.rng, near[e.id]) for e in g.edges]
+    ends1 = [(phi1[x], app.vertex_origin[x][0], x) for x in app.graph.vertices]
+    e21, e12 = (ends2, ends1) if insplit else (ends1, ends2)
+    edges = [Edge(eta, v, vmap2[x]) for eta, v, x in e21] + [Edge(eta, vmap2[x], v) for eta, v, x in e12]
     witness = SseWitness(
         DirectedMultigraph(side1 + side2, tuple(edges)),
         side1,
@@ -258,52 +263,23 @@ def _split_bundle(
         tuple(eta for eta, _, _ in e12),
         {v: v for v in side1},
         vmap2,
-        theta1,
-        theta2,
+        {e.id: (phi1[near[e.id]], phi2[e.id])[::order] for e in g.edges},
+        {
+            c.id: (phi2[app.edge_origin[c.id][0]], phi1[c.src if insplit else c.rng])[::order]
+            for c in app.graph.edges
+        },
     )
     return SplitWitnessBundle(witness, phi1, phi2, app)
 
 
 def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
-    """The intermediate graph of an insplit: one side2-to-side1 edge per new
-    vertex (phi1) and one side1-to-side2 edge per original edge, landing in
-    the copy of its class (phi2); theta1 = phi1 after phi2, theta2 reads the
-    copy's source off phi1."""
-    app = insplit_apply(g, spec)
-    rng_copy = {app.edge_origin[c.id][0]: c.rng for c in app.graph.edges}  # the same for every copy
-    phi2 = {e.id: f"e21:{e.id}" for e in g.edges}
-    phi1 = {v2: f"e12:{v2}" for v2 in app.graph.vertices}
-    return _split_bundle(
-        g,
-        app,
-        [(phi2[e.id], e.src, rng_copy[e.id]) for e in g.edges],
-        [(phi1[v2], v2, app.vertex_origin[v2][0]) for v2 in app.graph.vertices],
-        {e.id: (phi1[rng_copy[e.id]], phi2[e.id]) for e in g.edges},
-        {e2e.id: (phi2[app.edge_origin[e2e.id][0]], phi1[e2e.src]) for e2e in app.graph.edges},
-        phi1,
-        phi2,
-    )
+    """The intermediate graph of an insplit, with its theta and phi maps."""
+    return _split_witness(g, insplit_apply(g, spec), True)
 
 
 def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
-    """The intermediate graph of an outsplit: one side1-to-side2 edge per new
-    vertex (phi1) and one side2-to-side1 edge per original edge, leaving from
-    the copy of its class (phi2); theta1 = phi2 after phi1, theta2 reads the
-    copy's range off phi1."""
-    app = outsplit_apply(g, spec)
-    src_copy = {app.edge_origin[c.id][0]: c.src for c in app.graph.edges}  # the same for every copy
-    phi1 = {v2: f"e21:{v2}" for v2 in app.graph.vertices}
-    phi2 = {e.id: f"e12:{e.id}" for e in g.edges}
-    return _split_bundle(
-        g,
-        app,
-        [(phi1[v2], app.vertex_origin[v2][0], v2) for v2 in app.graph.vertices],
-        [(phi2[e.id], src_copy[e.id], e.rng) for e in g.edges],
-        {e.id: (phi2[e.id], phi1[src_copy[e.id]]) for e in g.edges},
-        {e2e.id: (phi1[e2e.rng], phi2[app.edge_origin[e2e.id][0]]) for e2e in app.graph.edges},
-        phi1,
-        phi2,
-    )
+    """The intermediate graph of an outsplit, with its theta and phi maps."""
+    return _split_witness(g, outsplit_apply(g, spec), False)
 
 
 def _inherited_weights(

@@ -211,22 +211,30 @@ def _read_text(path: str) -> str:
     return pathlib.Path(path).read_text(encoding="utf-8")
 
 
-def test_chain_search_fuzzed_inputs_keep_the_exit_contract(inputs, capsys, tmp_path):
-    # Mutated chain-search golden inputs: whatever the damage, the command
-    # exits 0, 1 (with a reason) or 2 (with an error message), never with a
-    # traceback, and prints the same bytes on a second run.
+@pytest.mark.parametrize("command", ["chain-search", "insplit", "outsplit"])
+def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path):
+    # Mutated golden inputs of one subcommand (a graph, a split spec or a
+    # weights file): whatever the damage, the command exits 0, 1 (with a
+    # reason) or 2 (with an error message), never with a traceback, and
+    # prints the same bytes on a second run.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    names = sorted({arg[1:-1] for case, argv in CASES.items() if case.startswith("chain_search") for arg in argv[1:3]})
+    chain = command == "chain-search"
+    # each golden case's subcommand and input files, with its flags dropped
+    templates = sorted({
+        tuple(arg for arg in (argv[:3] if chain else argv) if arg != "--witness")
+        for argv in CASES.values()
+        if argv[0] == command
+    })
     too_long = int("9" * 40)  # written out as an integer past the interpreter's digit limit
     huge = st.sampled_from([2**63, -(2**64), 10**40, too_long])
     odd_values = st.one_of(huge, st.sampled_from([None, True, 1.5, "", "a", [], {}, ["a"], {"id": "a"}]))
 
     @st.composite
-    def mutated(draw):
+    def mutated(draw, name):
         if draw(st.integers(0, 9)) == 0:
-            return _read_text(inputs["tl_w"])  # a witness where a graph is expected
-        obj = json.loads(_read_text(inputs[draw(st.sampled_from(names))]))
+            return _read_text(inputs["tl_w"])  # a witness where another file is expected
+        obj = json.loads(_read_text(inputs[name]))
         for _ in range(draw(st.integers(0, 2))):
             path = draw(st.sampled_from(list(_json_paths(obj))))
             kind = draw(st.sampled_from(["drop", "retype", "duplicate"]))
@@ -246,19 +254,32 @@ def test_chain_search_fuzzed_inputs_keep_the_exit_contract(inputs, capsys, tmp_p
         # json.dumps cannot write an integer past the digit limit, so splice it in as text
         return json.dumps(obj).replace(str(too_long), "9" * 5000)
 
+    @st.composite
+    def invocation(draw):
+        """(argv with one input file replaced by ``{mutated}``, its text)."""
+        argv = list(draw(st.sampled_from(templates)))
+        slot = draw(st.sampled_from([i for i, arg in enumerate(argv) if arg.startswith("{")]))
+        text = draw(mutated(argv[slot][1:-1]))
+        argv[slot] = "{mutated}"
+        return argv, text
+
     bounds = st.lists(st.sampled_from(["--max-steps", "--max-vertices", "--max-parts"]), unique=True).flatmap(
         lambda flags: st.tuples(*[st.tuples(st.just(f), st.integers(-2, 3)) for f in flags])
     )
+    if chain:
+        flag_lists = bounds.map(lambda flags: [str(x) for flag in flags for x in flag])
+    else:
+        flag_lists = st.sampled_from([[], ["--witness"]])
     codes = set()
 
     @hypothesis.settings(max_examples=120)
-    @hypothesis.given(mutated(), st.sampled_from(names), st.booleans(), bounds)
-    def check(text, other, first, flags):
-        path = tmp_path / "mutated.graph"
+    @hypothesis.given(invocation(), flag_lists)
+    def check(argv_text, flags):
+        template, text = argv_text
+        path = tmp_path / "mutated.input"
         path.write_text(text, encoding="utf-8")
-        pair = [str(path), inputs[other]] if first else [inputs[other], str(path)]
-        argv = ["chain-search", *pair, *(str(x) for flag in flags for x in flag)]
-        if not any(flag == "--max-vertices" for flag, _ in flags):
+        argv = [arg.format(mutated=str(path), **inputs) for arg in template] + flags
+        if chain and "--max-vertices" not in flags:
             argv += ["--max-vertices", "4"]  # the default 10 is slow on the biggest inputs
         runs = []
         for _ in range(2):
@@ -275,7 +296,8 @@ def test_chain_search_fuzzed_inputs_keep_the_exit_contract(inputs, capsys, tmp_p
         codes.add(code)
 
     check()
-    assert codes == {0, 1, 2}
+    # a split has no negative result: it either applies or the input is wrong
+    assert codes == ({0, 1, 2} if chain else {0, 2})
 
 
 class _GoldenUpdate:

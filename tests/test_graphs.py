@@ -23,7 +23,6 @@ from ssekit import (
     parse_graph_with_weights,
     path_weight,
     paths_between,
-    same_graph,
     serialize_graph,
     to_dot,
 )
@@ -741,13 +740,6 @@ def test_canonical_key_distinguishes():
 
 
 # -- misc -----------------------------------------------------------------------
-
-
-def test_same_graph_ignores_order(fork):
-    e1, _, _, _ = fork
-    reordered = DirectedMultigraph(tuple(reversed(e1.vertices)), tuple(reversed(e1.edges)))
-    assert same_graph(e1, reordered)
-    assert e1 != reordered
 
 
 def test_dot_export(loop_feed):

@@ -533,7 +533,7 @@ def test_chain_search_invariant_pruned():
 
 def test_chain_search_replays(two_loops):
     e1 = two_loops[0]
-    from ssekit import SplitSpec, same_graph
+    from ssekit import SplitSpec
 
     mid = insplit_apply(e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
     far_spec = SplitSpec(
@@ -550,7 +550,7 @@ def test_chain_search_replays(two_loops):
             if step.move == "insplit"
             else outsplit_apply(current, step.spec)
         )
-        assert same_graph(app.graph, step.graph)
+        assert app.graph == step.graph
         current = app.graph
     current2 = far
     for step in result.steps_from_e2:
@@ -559,7 +559,7 @@ def test_chain_search_replays(two_loops):
             if step.move == "insplit"
             else outsplit_apply(current2, step.spec)
         )
-        assert same_graph(app.graph, step.graph)
+        assert app.graph == step.graph
         current2 = app.graph
     assert canonical_key(current) == canonical_key(current2)
 
