@@ -220,7 +220,8 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     chain = command == "chain-search"
-    # each golden case's subcommand and input files, with its flags dropped
+    # the golden cases' arguments, less the flags drawn below: chain-search
+    # keeps its two graphs, a split everything but --witness
     templates = sorted({
         tuple(arg for arg in (argv[:3] if chain else argv) if arg != "--witness")
         for argv in CASES.values()
