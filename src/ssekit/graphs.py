@@ -261,8 +261,6 @@ class NonnegIntMatrix:
                     raise GraphError(f"entry ({i},{j}) is not an integer: {x!r}")
                 if x < 0:
                     raise GraphError(f"entry ({i},{j}) is negative: {x}")
-        object.__setattr__(self, "_ri", {v: i for i, v in enumerate(self.rows)})
-        object.__setattr__(self, "_ci", {v: j for j, v in enumerate(self.cols)})
 
     @classmethod
     def from_entries(
@@ -293,7 +291,7 @@ class NonnegIntMatrix:
         return self.nrows == self.ncols
 
     def get(self, row_id: str, col_id: str) -> int:
-        return self.entries[self._ri[row_id]][self._ci[col_id]]  # type: ignore[attr-defined]
+        return self.entries[self.rows.index(row_id)][self.cols.index(col_id)]
 
     def matmul(self, other: NonnegIntMatrix) -> NonnegIntMatrix:
         """Positional matrix product; exact over Python ints.
@@ -357,14 +355,6 @@ class NonnegIntMatrix:
 
     def total(self) -> int:
         return sum(sum(row) for row in self.entries)
-
-    def same_entries(self, other: NonnegIntMatrix) -> bool:
-        """Entrywise equality by position, ignoring index ids."""
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -584,36 +574,22 @@ def _path_ids(g: DirectedMultigraph, length: int, frm: set[str], to: set[str]) -
     return sorted([seq + (e.id,) for seq, tail in walks for e in inn[tail] if e.src in frm])
 
 
-def adjacency_matrix(
-    g: DirectedMultigraph,
-    row_order: Sequence[str] | None = None,
-    col_order: Sequence[str] | None = None,
-) -> NonnegIntMatrix:
+def adjacency_matrix(g: DirectedMultigraph) -> NonnegIntMatrix:
     """Edge-count matrix: entry (v, w) counts edges with range v and source w,
-    filled in one pass over the edges (O(V + E) index lookups, not V^2)."""
-    rows = tuple(g.vertices if row_order is None else row_order)
-    cols = tuple(g.vertices if col_order is None else col_order)
-    for v in sorted(set(rows) | set(cols)):
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex id {v!r}")
-    ri = {v: i for i, v in enumerate(rows)}
-    ci = {w: j for j, w in enumerate(cols)}
-    grid = [[0] * len(cols) for _ in rows]
-    for e in g.edges:
-        if e.rng in ri and e.src in ci:
-            grid[ri[e.rng]][ci[e.src]] += 1
-    return NonnegIntMatrix(rows, cols, tuple(map(tuple, grid)))
+    the transpose of ``_count_matrix`` (one pass over the edges)."""
+    return NonnegIntMatrix(g.vertices, g.vertices, tuple(zip(*_count_matrix(g))))
 
 
 def graph_from_matrix(a: NonnegIntMatrix) -> DirectedMultigraph:
     """One vertex per index; A(v, w) parallel edges from w to v, ids "v:w:k"."""
     if a.rows != a.cols:
         raise GraphError("matrix-to-graph conversion needs identical row and column ids")
-    edges: list[Edge] = []
-    for v in a.rows:
-        for w in a.cols:
-            for k in range(1, a.get(v, w) + 1):
-                edges.append(Edge(f"{v}:{w}:{k}", w, v))
+    edges = [
+        Edge(f"{v}:{w}:{k}", w, v)
+        for v, row in zip(a.rows, a.entries)
+        for w, count in zip(a.cols, row)
+        for k in range(1, count + 1)
+    ]
     return DirectedMultigraph(a.rows, tuple(edges))
 
 

@@ -17,7 +17,8 @@ graph with S counting side1-to-side2 edges and R the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .graphs import (
     DirectedMultigraph,
@@ -449,7 +450,7 @@ class EssePair:
 
 def matrix_essse_verify(pair: EssePair) -> bool:
     """True iff A = R*S and S*R = B hold entrywise."""
-    return pair.r.matmul(pair.s).same_entries(pair.a) and pair.s.matmul(pair.r).same_entries(pair.b)
+    return pair.r.matmul(pair.s).entries == pair.a.entries and pair.s.matmul(pair.r).entries == pair.b.entries
 
 
 @dataclass(frozen=True)
@@ -492,22 +493,22 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
     side2 = tuple(vmap2.values())
     vmap1 = {v: v for v in side1}
 
-    edges: list[Edge] = []
-    e21_ids: list[str] = []
-    e12_ids: list[str] = []
-    for wi, wv in enumerate(pair.a.rows):
-        for xi, xv in enumerate(pair.b.rows):
-            for k in range(1, pair.s.entries[xi][wi] + 1):
-                eid = f"e21:{wv}:{xv}:{k}"
-                edges.append(Edge(eid, wv, vmap2[xv]))
-                e21_ids.append(eid)
-    for xi, xv in enumerate(pair.b.rows):
-        for vi, vv in enumerate(pair.a.rows):
-            for k in range(1, pair.r.entries[vi][xi] + 1):
-                eid = f"e12:{xv}:{vv}:{k}"
-                edges.append(Edge(eid, vmap2[xv], vv))
-                e12_ids.append(eid)
-    e3 = DirectedMultigraph(side1 + side2, tuple(edges))
+    # S(x, w) parallel edges w -> x, then R(v, x) parallel edges x -> v.
+    e21 = [
+        Edge(f"e21:{w}:{x}:{k}", w, vmap2[x])
+        for w, s_col in zip(pair.a.rows, zip(*pair.s.entries))
+        for x, count in zip(pair.b.rows, s_col)
+        for k in range(1, count + 1)
+    ]
+    e12 = [
+        Edge(f"e12:{x}:{v}:{k}", vmap2[x], v)
+        for x, r_col in zip(pair.b.rows, zip(*pair.r.entries))
+        for v, count in zip(pair.a.rows, r_col)
+        for k in range(1, count + 1)
+    ]
+    e3 = DirectedMultigraph(side1 + side2, tuple(e21 + e12))
+    e21_ids = [e.id for e in e21]
+    e12_ids = [e.id for e in e12]
 
     thetas = find_theta_bijections(e1, e2, e3, side1, side2, e21_ids, e12_ids, vmap1, vmap2)
     if thetas is None:  # cannot happen for a verified pair; guard regardless
@@ -526,22 +527,82 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
     return bundle
 
 
+_T = TypeVar("_T")
+
+
+def _least_solution(
+    size: int,
+    bound: int,
+    equations: Sequence[tuple[Sequence[tuple[int, int]], int]],
+    accept: Callable[[list[int]], _T | None],
+) -> _T | None:
+    """The first result of ``accept`` that is not None over the x with
+    0 <= x[p] <= bound and sum(c * x[p] for p, c in terms) == rhs for each
+    (terms, rhs), in lexicographic order; ``accept`` gets the walk's list.
+
+    Terms come merged, nonzero and in position order.  Each equation keeps
+    what is left of its rhs; the first equation whose last term is at p
+    fixes x[p], the others ending there check it, and an equation with no
+    negative coefficient caps every entry it reads.
+    """
+    if any(rhs for terms, rhs in equations if not terms):
+        return None  # 0 = rhs with rhs != 0
+    left = [rhs for _, rhs in equations]
+    reads, caps, ends = [[[] for _ in range(size)] for _ in range(3)]
+    for e, (terms, _) in enumerate(equations):
+        if terms:
+            capping = min(map(itemgetter(1), terms)) > 0
+            for p, c in terms:
+                reads[p].append((e, c))
+                if capping:
+                    caps[p].append((e, c))
+            ends[p].append((e, c))  # the last term
+    x = [0] * size
+
+    def walk(p: int) -> _T | None:
+        if p == size:
+            return accept(x)
+        hi = bound
+        for e, c in caps[p]:
+            if left[e] < hi * c:
+                hi = left[e] // c
+        values: Sequence[int] = range(hi + 1)
+        if ends[p]:
+            e, c = ends[p][0]
+            v, rem = divmod(left[e], c)
+            values = (v,) if rem == 0 and 0 <= v <= hi else ()
+        for v in values:
+            x[p] = v
+            for e, c in reads[p]:
+                left[e] -= c * v
+            for e, _ in ends[p]:
+                if left[e]:
+                    found = None
+                    break
+            else:
+                found = walk(p + 1)
+            for e, c in reads[p]:
+                left[e] += c * v
+            if found is not None:
+                return found
+        return None
+
+    return walk(0)
+
+
 def matrix_essse_search(
     a: NonnegIntMatrix, b: NonnegIntMatrix, entry_bound: int | None = None
 ) -> tuple[NonnegIntMatrix, NonnegIntMatrix] | None:
     """Exhaustive search for R, S with A = R*S, S*R = B and entries <= bound.
 
-    The inner dimension is forced: S*R must be square of B's size, so R is
-    dim(A) x dim(B) and S is dim(B) x dim(A).  Candidates are enumerated in
-    row-major lexicographic order over the concatenated (R, S) entries and the
-    first verifying pair is returned; pruning only ever discards
-    non-solutions.  The default entry bound is the largest entry of A and B.
-    R is enumerated under A*R = R*B, which every solution satisfies
-    (A*R = R*S*R = R*B): equation (i, j) is checked, and fixes its last R
-    entry with a nonzero coefficient, once that entry is placed.  Row i of R
-    is cut when sum(row) * bound < max(A row i), as (R*S)(i, j) <= sum(row)
-    * bound.  S is searched only for the R that pass (partial product bounds,
-    exact column/row completion).
+    R is dim(A) x dim(B) and S is dim(B) x dim(A), as S*R must be square of
+    B's size.  The answer is the first pair in row-major lexicographic order
+    over the concatenated (R, S) entries; the default bound is the largest
+    entry of A and B.  One exact solver, ``_least_solution``, walks R under
+    A*R = R*B, which every solution satisfies (A*R = R*S*R = R*B), then, for
+    each R whose row sums times the bound reach the largest entry of A's
+    matching row ((R*S)(i, j) <= sum(R row i) * bound), S under R*S = A and
+    S*R = B, which are linear in S once R is fixed.
 
     Before any R is tried, the pair is refuted when tr(A^j) != tr(B^j) for
     some j <= N = max(dim A, dim B): tr((RS)^j) = tr((SR)^j) for every j.
@@ -554,104 +615,32 @@ def matrix_essse_search(
         raise GraphError("search needs square A and B")
     n = a.nrows
     k = b.nrows
-    if entry_bound is None:
-        entry_bound = max(a.total() and max(max(row) for row in a.entries) or 0,
-                          b.total() and max(max(row) for row in b.entries) or 0)
-    if entry_bound < 0:
+    m = max(map(max, a.entries + b.entries), default=0) if entry_bound is None else entry_bound
+    if m < 0:
         raise GraphError("entry bound must be nonnegative")
     if a.power_traces(max(n, k)) != b.power_traces(max(n, k)):
         return None
-    if n == 0 and b.total():
-        return None  # R*S is the empty A, but S*R is zero and B is not
-    if k == 0 and a.total():
-        return None  # S*R is the empty B, but R*S is zero and A is not
-    m = entry_bound
+    # (A*R - R*B)(i, j) = 0 on the flat R: R(l, t) has coefficient
+    # A(i, l) [t = j] - B(t, j) [l = i].
+    r_equations = [
+        ([(l * k + t, c) for l in range(n) for t in range(k)
+          if (c := a.entries[i][l] * (t == j) - b.entries[t][j] * (l == i))], 0)
+        for i in range(n)
+        for j in range(k)
+    ]
+    # (R*S)(i, j) = A(i, j) and (S*R)(t, u) = B(t, u) on the flat S, as
+    # (S position, position in R of its coefficient) pairs.
+    s_layouts = [
+        ([(t * n + j, i * k + t) for t in range(k)], a.entries[i][j]) for i in range(n) for j in range(n)
+    ] + [([(t * n + j, j * k + u) for j in range(n)], b.entries[t][u]) for t in range(k) for u in range(k)]
 
-    a_rows_max = [max(row) if row else 0 for row in a.entries]
-    size = n * k
-    # Equation (i, j) of A*R = R*B as (position in flat R, nonzero coefficient)
-    # pairs, filed under its last position.
-    equations: list[list[list[tuple[int, int]]]] = [[] for _ in range(size)]
-    for i in range(n):
-        for j in range(k):
-            coef = {l * k + j: a.entries[i][l] for l in range(n)}
-            for t in range(k):
-                coef[i * k + t] = coef.get(i * k + t, 0) - b.entries[t][j]
-            form = sorted((p, c) for p, c in coef.items() if c)
-            if form:
-                equations[form[-1][0]].append(form)
+    def with_s(r: list[int]) -> tuple[NonnegIntMatrix, NonnegIntMatrix] | None:
+        if any(sum(r[i * k : (i + 1) * k]) * m < max(row) for i, row in enumerate(a.entries)):
+            return None
+        s_equations = [([(p, r[q]) for p, q in layout if r[q]], rhs) for layout, rhs in s_layouts]
+        return _least_solution(k * n, m, s_equations, lambda s: (
+            NonnegIntMatrix(a.rows, b.rows, tuple(tuple(r[i * k : (i + 1) * k]) for i in range(n))),
+            NonnegIntMatrix(b.rows, a.rows, tuple(tuple(s[t * n : (t + 1) * n]) for t in range(k))),
+        ))
 
-    def find_s(r_flat: tuple[int, ...]) -> list[list[int]] | None:
-        r = [list(r_flat[i * k : (i + 1) * k]) for i in range(n)]
-        s = [[0] * n for _ in range(k)]
-        partial = [[0] * n for _ in range(n)]  # running R*S
-
-        def place(pos: int) -> bool:
-            if pos == k * n:
-                return True
-            t, j = divmod(pos, n)
-            vmax = m
-            for i in range(n):
-                if r[i][t] > 0:
-                    vmax = min(vmax, (a.entries[i][j] - partial[i][j]) // r[i][t])
-            if vmax < 0:
-                return False
-            last_row_of_column = t == k - 1
-            for val in range(vmax + 1):
-                if last_row_of_column:
-                    exact = all(
-                        partial[i][j] + r[i][t] * val == a.entries[i][j] for i in range(n)
-                    )
-                    if not exact:
-                        continue
-                s[t][j] = val
-                for i in range(n):
-                    partial[i][j] += r[i][t] * val
-                ok = True
-                if j == n - 1:
-                    # S row t complete: its S*R row is determined.
-                    for u in range(k):
-                        if sum(s[t][jj] * r[jj][u] for jj in range(n)) != b.entries[t][u]:
-                            ok = False
-                            break
-                if ok and place(pos + 1):
-                    return True
-                for i in range(n):
-                    partial[i][j] -= r[i][t] * val
-                s[t][j] = 0
-            return False
-
-        return s if place(0) else None
-
-    r_flat = [0] * size
-
-    def place_r(pos: int) -> list[list[int]] | None:
-        """S for the least R that extends r_flat[:pos] and has one, or None."""
-        if pos == size:
-            return find_s(tuple(r_flat))
-        i, t = divmod(pos, k)
-        forms = equations[pos]
-        if forms:  # the first equation fixes the entry: its coefficient is nonzero
-            *rest, (_, c) = forms[0]
-            v, rem = divmod(-sum(r_flat[p] * x for p, x in rest), c)
-            values: Sequence[int] = (v,) if rem == 0 and 0 <= v <= m else ()
-        else:
-            values = range(m + 1)
-        for v in values:
-            r_flat[pos] = v
-            if t == k - 1 and sum(r_flat[pos - t : pos + 1]) * m < a_rows_max[i]:
-                continue
-            if any(sum(r_flat[p] * x for p, x in form) for form in forms[1:]):
-                continue
-            s_entries = place_r(pos + 1)
-            if s_entries is not None:
-                return s_entries
-        r_flat[pos] = 0
-        return None
-
-    s_entries = place_r(0)
-    if s_entries is None:
-        return None
-    r_rows = tuple(tuple(r_flat[i * k : (i + 1) * k]) for i in range(n))
-    s_rows = tuple(map(tuple, s_entries))
-    return NonnegIntMatrix(a.rows, b.rows, r_rows), NonnegIntMatrix(b.rows, a.rows, s_rows)
+    return _least_solution(n * k, m, r_equations, with_s)

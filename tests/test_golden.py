@@ -211,19 +211,21 @@ def _read_text(path: str) -> str:
     return pathlib.Path(path).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("command", ["chain-search", "insplit", "outsplit"])
+@pytest.mark.parametrize("command", ["chain-search", "insplit", "outsplit", "matrix-search", "matrix-verify"])
 def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path):
-    # Mutated golden inputs of one subcommand (a graph, a split spec or a
-    # weights file): whatever the damage, the command exits 0, 1 (with a
-    # reason) or 2 (with an error message), never with a traceback, and
-    # prints the same bytes on a second run.
+    # Mutated golden inputs of one subcommand (a graph, a split spec, a
+    # weights file or a matrix): whatever the damage, the command exits 0,
+    # 1 (with its negative result) or 2 (with an error message), never with
+    # a traceback, and prints the same bytes on a second run.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     chain = command == "chain-search"
+    search = command == "matrix-search"
     # the golden cases' arguments, less the flags drawn below: chain-search
-    # keeps its two graphs, a split everything but --witness
+    # and matrix-search keep their two inputs, the others everything but
+    # --witness
     templates = sorted({
-        tuple(arg for arg in (argv[:3] if chain else argv) if arg != "--witness")
+        tuple(arg for arg in (argv[:3] if chain or search else argv) if arg != "--witness")
         for argv in CASES.values()
         if argv[0] == command
     })
@@ -269,6 +271,11 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
     )
     if chain:
         flag_lists = bounds.map(lambda flags: [str(x) for flag in flags for x in flag])
+    elif search:
+        # always a bound: the default is the largest entry, which a mutation may make 10**40
+        flag_lists = st.integers(0, 3).map(lambda m: ["--bound", str(m)])
+    elif command == "matrix-verify":
+        flag_lists = st.just([])
     else:
         flag_lists = st.sampled_from([[], ["--witness"]])
     codes = set()
@@ -291,14 +298,20 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         if code == 1:
-            assert "reason" in json.loads(out)
+            result = json.loads(out)
+            if search:
+                assert result == {"status": "absent", "entry_bound": int(flags[1])}
+            elif command == "matrix-verify":
+                assert result == {"equivalent": False}
+            else:
+                assert "reason" in result
         if code == 2:
             assert out == "" and err.startswith("error:")
         codes.add(code)
 
     check()
     # a split has no negative result: it either applies or the input is wrong
-    assert codes == ({0, 1, 2} if chain else {0, 2})
+    assert codes == ({0, 2} if command in ("insplit", "outsplit") else {0, 1, 2})
 
 
 class _GoldenUpdate:

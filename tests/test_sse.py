@@ -33,6 +33,7 @@ from ssekit.splits import (
     insplit_apply,
     outsplit_apply,
 )
+from ssekit.sse import _least_solution
 from labelled_splits import enumerate_split_specs, split_vertex_count
 
 
@@ -376,6 +377,51 @@ def test_matrix_search_agrees_with_unpruned_brute_force():
         a = _mat(r).matmul(_mat(s))
         b = _mat(s).matmul(_mat(r))
         assert agree(a, b, 1)
+
+
+def test_least_solution_walks_the_solutions_in_order():
+    # The exact solver behind matrix-search, against brute force on small
+    # mixed-sign systems, constant-only equations (0 = rhs) among them: an
+    # accept that records and rejects every vector sees exactly the
+    # solutions in lexicographic order, and one that takes the m-th stops
+    # the walk there.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def systems(draw):
+        # most right-hand sides fit a planted vector, so most systems have
+        # solutions; the others are off by one
+        size, bound = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+        planted = draw(st.lists(st.integers(0, bound), min_size=size, max_size=size))
+        equations = []
+        for _ in range(draw(st.integers(0, 4))):
+            positions = sorted(draw(st.sets(st.integers(0, size - 1)))) if size else []
+            terms = [(p, draw(st.integers(-3, 3).filter(bool))) for p in positions]
+            rhs = sum(c * planted[p] for p, c in terms) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+            equations.append((terms, rhs))
+        return size, bound, equations
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(systems(), st.integers(0, 3))
+    def check(system, m):
+        size, bound, equations = system
+        expected = [
+            x
+            for x in itertools.product(range(bound + 1), repeat=size)
+            if all(sum(c * x[p] for p, c in terms) == rhs for terms, rhs in equations)
+        ]
+        seen = []
+        assert _least_solution(size, bound, equations, lambda x: seen.append(tuple(x))) is None
+        assert seen == expected
+        seen.clear()
+        def take_mth(x):
+            seen.append(x)
+            return tuple(x) if len(seen) > m else None
+
+        assert _least_solution(size, bound, equations, take_mth) == (expected[m] if m < len(expected) else None)
+
+    check()
 
 
 def test_matrix_search_empty_a_needs_zero_b():
