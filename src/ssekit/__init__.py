@@ -8,7 +8,6 @@ from .graphs import (
     GraphFormatError,
     GraphIsomorphism,
     NonnegIntMatrix,
-    Path,
     adjacency_matrix,
     canonical_key,
     classify_vertices,
@@ -16,7 +15,6 @@ from .graphs import (
     is_isomorphic,
     parse_graph,
     parse_graph_with_weights,
-    path_weight,
     paths_between,
     serialize_graph,
     to_dot,

@@ -121,66 +121,12 @@ class DirectedMultigraph:
         return tuple(self._by_id)  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class Path:
-    """A finite path: an edge-id sequence, or a bare vertex (length 0).
-
-    ``edge_ids`` lists ``e_1 ... e_n`` with ``s(e_i) = r(e_{i+1})``; the
-    path's source is ``s(e_n)`` and its range ``r(e_1)``.
-    """
-
-    graph: DirectedMultigraph
-    edge_ids: tuple[str, ...] = ()
-    base: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.edge_ids:
-            if self.base is not None:
-                raise GraphError("a path is either an edge sequence or a bare vertex")
-            _chain(self.graph, self.edge_ids)
-        else:
-            if self.base is None:
-                raise GraphError("a length-0 path needs a base vertex")
-            if not self.graph.has_vertex(self.base):
-                raise GraphError(f"unknown vertex id {self.base!r}")
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def source(self) -> str:
-        if not self.edge_ids:
-            return self.base  # type: ignore[return-value]
-        return self.graph.edge(self.edge_ids[-1]).src
-
-    @property
-    def range(self) -> str:
-        if not self.edge_ids:
-            return self.base  # type: ignore[return-value]
-        return self.graph.edge(self.edge_ids[0]).rng
-
-    def concat(self, other: Path) -> Path:
-        """Concatenation; defined when ``s(self) = r(other)``."""
-        if self.graph != other.graph:
-            raise GraphError("cannot concatenate paths of different graphs")
-        if self.source != other.range:
-            raise GraphError(
-                f"paths do not compose: source {self.source!r} != range {other.range!r}"
-            )
-        if not self.edge_ids:
-            return other
-        if not other.edge_ids:
-            return self
-        return Path(self.graph, self.edge_ids + other.edge_ids)
-
-
 def _chain(g: DirectedMultigraph, edge_ids: Sequence[str]) -> tuple[str, str]:
-    """(source, range) of the path ``edge_ids`` of ``g``: each id must name an
-    edge, each edge's source must be the next edge's range, and there must be
-    at least one edge (``Path``'s checks and messages)."""
+    """(source, range) of the path ``edge_ids`` of ``g``: there must be at
+    least one edge, each id must name an edge, and each edge's source must be
+    the next edge's range."""
     if not edge_ids:
-        raise GraphError("a length-0 path needs a base vertex")
+        raise GraphError("a path needs at least one edge")
     prev: Edge | None = None
     for eid in edge_ids:
         e = g.edge(eid)
@@ -227,13 +173,6 @@ class EdgeFunction:
     @classmethod
     def zero(cls, graph: DirectedMultigraph) -> EdgeFunction:
         return cls(graph, {eid: 0 for eid in graph.edge_ids()})
-
-
-def path_weight(f: EdgeFunction, p: Path) -> int:
-    """Additive extension of ``f`` to paths; vertex paths weigh 0."""
-    if f.graph != p.graph:
-        raise GraphError("path and edge function belong to different graphs")
-    return sum(f(eid) for eid in p.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -289,9 +228,6 @@ class NonnegIntMatrix:
     @property
     def square(self) -> bool:
         return self.nrows == self.ncols
-
-    def get(self, row_id: str, col_id: str) -> int:
-        return self.entries[self.rows.index(row_id)][self.cols.index(col_id)]
 
     def matmul(self, other: NonnegIntMatrix) -> NonnegIntMatrix:
         """Positional matrix product; exact over Python ints.
@@ -545,29 +481,20 @@ def paths_between(
     length: int,
     from_vertices: Iterable[str] | None = None,
     to_vertices: Iterable[str] | None = None,
-) -> list[Path]:
-    """All paths of the given length with source in ``from_vertices`` and range
-    in ``to_vertices`` (defaults: all vertices), sorted lexicographically by
-    edge-id sequence; length 0 yields one vertex path per admissible vertex.
-    Paths grow backwards from their range along the in-edge index, so the cost
-    is O(number of paths of this length ending in ``to_vertices``)."""
-    if length < 0:
-        raise GraphError("path length must be nonnegative")
+) -> list[tuple[str, ...]]:
+    """The edge-id tuples ``(e_1, ..., e_length)`` of all paths with source in
+    ``from_vertices`` and range in ``to_vertices`` (defaults: all vertices),
+    sorted.  ``length`` must be at least 1.  Walks grow backwards from their
+    range along the in-edge index, one edge per round, so the cost is
+    O(number of paths of this length ending in ``to_vertices``)."""
+    if length < 1:
+        raise GraphError("path length must be at least 1")
     frm = set(g.vertices if from_vertices is None else from_vertices)
     to = set(g.vertices if to_vertices is None else to_vertices)
-    for v in sorted(frm | to):
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex id {v!r}")
-    if length == 0:
-        return [Path(g, base=v) for v in g.vertices if v in frm and v in to]
-    return [Path(g, seq) for seq in _path_ids(g, length, frm, to)]
-
-
-def _path_ids(g: DirectedMultigraph, length: int, frm: set[str], to: set[str]) -> list[tuple[str, ...]]:
-    """``paths_between`` for ``length`` >= 1 and vertex sets of ``g``, as
-    sorted edge-id tuples: walks grow backwards from their range, one edge
-    per round, and the last round keeps the edges leaving ``frm``."""
     inn = g._in  # type: ignore[attr-defined]
+    unknown = (frm | to).difference(inn)
+    if unknown:
+        raise GraphError(f"unknown vertex id {min(unknown)!r}")
     walks: list[tuple[tuple[str, ...], str]] = [((), v) for v in to]
     for _ in range(length - 1):
         walks = [(seq + (e.id,), e.src) for seq, tail in walks for e in inn[tail]]

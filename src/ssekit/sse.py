@@ -27,11 +27,11 @@ from .graphs import (
     GraphFormatError,
     NonnegIntMatrix,
     _chain,
-    _path_ids,
     graph_from_json_obj,
     graph_from_matrix,
     graph_to_json_obj,
     parse_json,
+    paths_between,
 )
 
 
@@ -237,7 +237,7 @@ def _theta_check(
             problems.append(f"{label} repeats path {key!r} (also image of {images[key]!r})")
         images[key] = e.id
     members = {v for v in side if e3.has_vertex(v)}
-    expected = set(_path_ids(e3, 2, members, members))
+    expected = set(paths_between(e3, 2, members, members))
     missed = expected - set(images)
     if missed:
         problems.append(f"{label} misses length-2 paths: {sorted(missed)}")
@@ -318,7 +318,7 @@ def find_theta_bijections(
     def pair_side(outer: DirectedMultigraph, side: Sequence[str], vmap: Mapping[str, str]):
         fibers: dict[tuple[str, str], list[tuple[str, str]]] = {}
         members = set(side)
-        for first, second in _path_ids(e3, 2, members, members):
+        for first, second in paths_between(e3, 2, members, members):
             fibers.setdefault((e3.edge(second).src, e3.edge(first).rng), []).append((first, second))
         edges_by_pair: dict[tuple[str, str], list[str]] = {}
         for e in outer.edges:
@@ -628,6 +628,11 @@ def matrix_essse_search(
         for i in range(n)
         for j in range(k)
     ]
+    # One-term equations pin their entry of R to 0.  A row of R pinned whole
+    # fails the row bound of a nonzero row of A, whatever the rest of R is.
+    pinned = {terms[0][0] for terms, _ in r_equations if len(terms) == 1}
+    if any(max(row) and pinned.issuperset(range(i * k, (i + 1) * k)) for i, row in enumerate(a.entries)):
+        return None
     # (R*S)(i, j) = A(i, j) and (S*R)(t, u) = B(t, u) on the flat S, as
     # (S position, position in R of its coefficient) pairs.
     s_layouts = [

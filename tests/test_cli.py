@@ -400,6 +400,21 @@ def test_matrix_search_huge_bound_is_lazy(run, files):
     assert out == out1 and err == ""
 
 
+def test_matrix_search_pinned_row_is_refuted_at_once(files):
+    # A*R = R*B pins R's second row to 0 (10^40 * R(1, j) = 0), so no R meets
+    # the row bound of A's second row; R's first row is never enumerated.
+    a = _write(files["tmp"] / "huge.matrix", json.dumps({"entries": [[1, 10**40], [0, 1]]}))
+    b = _write(files["tmp"] / "id.matrix", json.dumps({"entries": [[1, 0], [0, 1]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssekit", "matrix-search", a, b],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "absent"
+
+
 def test_chain_search_cli(run, files):
     code, out, _ = run("chain-search", files["loop"], files["loop"], "--max-steps", "0")
     assert code == 0

@@ -11,6 +11,7 @@ To rewrite every golden file from the current code, run
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
 import random
@@ -211,27 +212,34 @@ def _read_text(path: str) -> str:
     return pathlib.Path(path).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("command", ["chain-search", "insplit", "outsplit", "matrix-search", "matrix-verify"])
+@pytest.mark.parametrize("command", [
+    "chain-search", "insplit", "outsplit", "matrix-search", "matrix-verify", "validate", "classify",
+    "sse-verify", "theta-search", "lift", "transport", "invariants", "export",
+])
 def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path):
-    # Mutated golden inputs of one subcommand (a graph, a split spec, a
-    # weights file or a matrix): whatever the damage, the command exits 0,
-    # 1 (with its negative result) or 2 (with an error message), never with
-    # a traceback, and prints the same bytes on a second run.
+    # Mutated golden inputs of one subcommand (a graph, a witness, a split
+    # spec, a sides or weights file, or a matrix): whatever the damage, the
+    # command exits 0, 1 (with its negative result) or 2 (with an error
+    # message), never with a traceback, and prints the same bytes on a
+    # second run.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     chain = command == "chain-search"
     search = command == "matrix-search"
+    split = command in ("insplit", "outsplit")
     # the golden cases' arguments, less the flags drawn below: chain-search
-    # and matrix-search keep their two inputs, the others everything but
-    # --witness
+    # and matrix-search keep their two inputs, the splits everything but
+    # --witness, the others everything
     templates = sorted({
-        tuple(arg for arg in (argv[:3] if chain or search else argv) if arg != "--witness")
+        tuple(arg for arg in (argv[:3] if chain or search else argv) if not (split and arg == "--witness"))
         for argv in CASES.values()
         if argv[0] == command
     })
     too_long = int("9" * 40)  # written out as an integer past the interpreter's digit limit
     huge = st.sampled_from([2**63, -(2**64), 10**40, too_long])
-    odd_values = st.one_of(huge, st.sampled_from([None, True, 1.5, "", "a", [], {}, ["a"], {"id": "a"}]))
+    # a fresh copy per draw: a shared list or dict could be stored inside itself
+    containers = st.sampled_from([[], {}, ["a"], {"id": "a"}]).map(copy.deepcopy)
+    odd_values = st.one_of(huge, st.sampled_from([None, True, 1.5, "", "a"]), containers)
 
     @st.composite
     def mutated(draw, name):
@@ -274,10 +282,10 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
     elif search:
         # always a bound: the default is the largest entry, which a mutation may make 10**40
         flag_lists = st.integers(0, 3).map(lambda m: ["--bound", str(m)])
-    elif command == "matrix-verify":
-        flag_lists = st.just([])
-    else:
+    elif split:
         flag_lists = st.sampled_from([[], ["--witness"]])
+    else:
+        flag_lists = st.just([])
     codes = set()
 
     @hypothesis.settings(max_examples=120)
@@ -303,6 +311,12 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
                 assert result == {"status": "absent", "entry_bound": int(flags[1])}
             elif command == "matrix-verify":
                 assert result == {"equivalent": False}
+            elif command == "sse-verify":
+                assert result["passed"] is False
+            elif command == "lift":
+                assert result["status"] == "infeasible"
+            elif command == "invariants":
+                assert result["status"] == "fail"
             else:
                 assert "reason" in result
         if code == 2:
@@ -310,8 +324,9 @@ def test_fuzzed_inputs_keep_the_exit_contract(command, inputs, capsys, tmp_path)
         codes.add(code)
 
     check()
-    # a split has no negative result: it either applies or the input is wrong
-    assert codes == ({0, 2} if command in ("insplit", "outsplit") else {0, 1, 2})
+    # a command with no negative result either answers or rejects its input
+    no_negative = split or command in ("validate", "classify", "transport", "export")
+    assert codes == ({0, 2} if no_negative else {0, 1, 2})
 
 
 class _GoldenUpdate:
