@@ -34,10 +34,8 @@ from .splits import (
     SplitWitnessBundle,
     insplit_apply,
     insplit_reverse_transport,
-    insplit_transport_f,
     insplit_witness,
     outsplit_apply,
-    outsplit_transport_f,
     outsplit_witness,
     parse_split_spec,
     validate_split_spec,
@@ -62,7 +60,6 @@ from .weights import (
     LiftEquation,
     LiftOutcome,
     TransportError,
-    WeightTriple,
     check_weight_preserving,
     lift_edge_function,
     transport_g_from_h,

@@ -95,17 +95,18 @@ def _load_matrix(path: str) -> NonnegIntMatrix:
 
 def _load_weight_map(path: str, graph: DirectedMultigraph) -> EdgeFunction:
     """A weight file is either a graph file with weights on every edge or a
-    bare {"weights": {edge-id: int}} map bound to the expected graph."""
+    bare {"weights": {edge-id: int}} map.  Either way the weights are bound
+    to the expected graph by edge id, so edge order in the file is free."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "weights" in obj and "edges" not in obj:
         wmap = obj["weights"]
         if not isinstance(wmap, dict):
             raise GraphFormatError(f'{path}: "weights" must be an object')
-        return EdgeFunction(graph, {k: v for k, v in wmap.items()})
+        return EdgeFunction(graph, wmap)
     _, fn = _parsed(path, graph_from_json_obj, obj)
     if fn is None:
         raise GraphFormatError(f"{path}: no weights present")
-    return fn
+    return EdgeFunction(graph, fn.weights)
 
 
 def _emit(obj: dict) -> None:
@@ -146,7 +147,7 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
         raise GraphFormatError(f"{args.spec}: expected an {kind} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None
     bundle = insplit_witness(g, spec) if kind == "insplit" else outsplit_witness(g, spec)
-    g2, h = _inherited_weights(g, f, bundle.application, bundle) if f is not None else (None, None)
+    g2, h = _inherited_weights(f, bundle) if f is not None else (None, None)
     out: dict = {
         "e2": graph_to_json_obj(bundle.e2, g2),
         "vertex_origin": {k: list(v) for k, v in bundle.application.vertex_origin.items()},
@@ -223,10 +224,8 @@ def cmd_transport(args: argparse.Namespace) -> int:
         _emit({"g": _weight_obj(g)})
         return EXIT_OK
     f = _load_weight_map(args.f, w.implied_graph1())
-    slot = 0 if args.phi_side == "e12" else 1
-    phi = {eid: pair[slot] for eid, pair in w.theta1.items()}
     builder = weights_from_f_E12 if args.phi_side == "e12" else weights_from_f_E21
-    h, g = builder(w, f, phi)
+    h, g = builder(w, f)
     _emit({"h": _weight_obj(h), "g": _weight_obj(g)})
     return EXIT_OK
 

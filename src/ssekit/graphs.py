@@ -448,20 +448,26 @@ def to_dot(
     blue_edges: Iterable[str] = (),
     red_edges: Iterable[str] = (),
 ) -> str:
-    """DOT export: one node per vertex, one arc per edge labeled "id(:weight)"."""
+    """DOT export: one node per vertex, one arc per edge labeled "id(:weight)".
+    Ids and labels are DOT quoted strings, with backslash and double quote
+    escaped."""
+
+    def quoted(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     blue = set(blue_edges)
     red = set(red_edges)
     lines = ["digraph {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {quoted(v)};")
     for e in g.edges:
         label = e.id if weights is None else f"{e.id}:{weights(e.id)}"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={quoted(label)}"]
         if e.id in blue:
             attrs.append("color=blue")
         elif e.id in red:
             attrs.append("color=red")
-        lines.append(f'  "{e.src}" -> "{e.rng}" [{", ".join(attrs)}];')
+        lines.append(f'  {quoted(e.src)} -> {quoted(e.rng)} [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

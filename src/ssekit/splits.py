@@ -282,26 +282,17 @@ def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBund
     return _split_witness(g, outsplit_apply(g, spec), False)
 
 
-def _inherited_weights(
-    g: DirectedMultigraph, f: EdgeFunction, app: SplitApplication, bundle: SplitWitnessBundle | None = None
-) -> tuple[EdgeFunction, EdgeFunction | None]:
-    """(g2, h): a weighting f of ``g`` pushed through its split ``app`` by the
-    module's weight rule, g2(copy) = f(original); h is None unless the
-    split's witness ``bundle`` is given."""
-    if f.graph != g:
+def _inherited_weights(f: EdgeFunction, bundle: SplitWitnessBundle) -> tuple[EdgeFunction, EdgeFunction]:
+    """(g2, h): a weighting f of the graph that ``bundle`` splits, pushed
+    through the split by the module's weight rule: g2(copy) = f(original),
+    and h is f on the phi2 edges and 0 on the phi1 edges."""
+    if f.weights.keys() != bundle.phi2.keys():
         raise GraphError("f is not a weight map on the graph being split")
+    app = bundle.application
     g2 = EdgeFunction(app.graph, {ne: f(origin) for ne, (origin, _) in app.edge_origin.items()})
-    if bundle is None:
-        return g2, None
     h = dict.fromkeys(bundle.witness.e3.edge_ids(), 0)
     h.update((eta, f(eid)) for eid, eta in bundle.phi2.items())
     return g2, EdgeFunction(bundle.witness.e3, h)
-
-
-def insplit_transport_f(g: DirectedMultigraph, spec: SplitSpec, f: EdgeFunction) -> EdgeFunction:
-    """Push a weighting through an insplit: every copy inherits its original's
-    weight, which makes the witness' theta maps weight-preserving."""
-    return _inherited_weights(g, f, insplit_apply(g, spec))[0]
 
 
 @dataclass
@@ -349,15 +340,6 @@ def insplit_reverse_transport(
         return ReverseTransportResult(None, obstructions)
     f = EdgeFunction(g, {e.id: next(iter(by_origin[e.id].values())) for e in g.edges})
     return ReverseTransportResult(f)
-
-
-def outsplit_transport_f(
-    g: DirectedMultigraph, spec: SplitSpec, f: EdgeFunction
-) -> tuple[EdgeFunction, EdgeFunction]:
-    """Push a weighting through an outsplit by the module's weight rule;
-    returns (g2, h)."""
-    bundle = outsplit_witness(g, spec)
-    return _inherited_weights(g, f, bundle.application, bundle)  # type: ignore[return-value]
 
 
 # -- split moves on count matrices, for the chain search ---------------------

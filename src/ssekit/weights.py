@@ -7,10 +7,10 @@ Checks, constructions, and the lifting solver all work at this
 generator level; nothing else is modelled.
 
 Weights given on side 1 always push forward: zero the witness edges on one
-class, copy f onto the other through a compatible bijection, and transport to
-side 2 along theta2.  Weights given on side 2 need not pull back; feasibility
-of the defining linear system is decided exactly, with an explicit
-inconsistent cycle as the certificate when it fails.
+class, copy f onto the other along the bijection phi that theta1 fixes, and
+transport to side 2 along theta2.  Weights given on side 2 need not pull
+back; feasibility of the defining linear system is decided exactly, with an
+explicit inconsistent cycle as the certificate when it fails.
 """
 
 from __future__ import annotations
@@ -35,43 +35,31 @@ def _check_against_witness(
         raise GraphError(f"{label} is not a weight map on the witness' side graph (vertex sets differ)")
 
 
-@dataclass(frozen=True)
-class WeightTriple:
-    """Edge functions f (side 1), g (side 2), h (intermediate) over one witness."""
-
-    witness: SseWitness
-    f: EdgeFunction | None = None
-    g: EdgeFunction | None = None
-    h: EdgeFunction | None = None
-
-    def __post_init__(self) -> None:
-        if self.h is not None and self.h.graph != self.witness.e3:
-            raise GraphError("h is not a weight map on the witness' intermediate graph")
-        if self.f is not None:
-            _check_against_witness(self.f, self.witness.theta1, self.witness.vmap1, "f")
-        if self.g is not None:
-            _check_against_witness(self.g, self.witness.theta2, self.witness.vmap2, "g")
-
-
-def check_weight_preserving(t: WeightTriple) -> tuple[bool, bool]:
-    """(theta1 weight-preserving, theta2 weight-preserving); a side with no
-    outer function present counts as preserved."""
-    if t.h is None:
-        raise GraphError("check needs the intermediate weighting h")
-    if t.f is None and t.g is None:
+def check_weight_preserving(
+    w: SseWitness, h: EdgeFunction, f: EdgeFunction | None = None, g: EdgeFunction | None = None
+) -> tuple[bool, bool]:
+    """(theta1 weight-preserving, theta2 weight-preserving) for the
+    intermediate weighting h against side-1 f and side-2 g; a side with no
+    outer function given counts as preserved."""
+    if h.graph != w.e3:
+        raise GraphError("h is not a weight map on the witness' intermediate graph")
+    if f is not None:
+        _check_against_witness(f, w.theta1, w.vmap1, "f")
+    if g is not None:
+        _check_against_witness(g, w.theta2, w.vmap2, "g")
+    if f is None and g is None:
         raise GraphError("check needs f or g")
-    w = t.witness
 
     def side_ok(fn: EdgeFunction | None, theta: Mapping[str, tuple[str, str]]) -> bool:
         if fn is None:
             return True
         for eid, pair in theta.items():
             _chain(w.e3, pair)
-            if sum(map(t.h, pair)) != fn(eid):
+            if sum(map(h, pair)) != fn(eid):
                 return False
         return True
 
-    return side_ok(t.f, w.theta1), side_ok(t.g, w.theta2)
+    return side_ok(f, w.theta1), side_ok(g, w.theta2)
 
 
 def transport_g_from_h(w: SseWitness, h: EdgeFunction) -> EdgeFunction:
@@ -86,49 +74,33 @@ def transport_g_from_h(w: SseWitness, h: EdgeFunction) -> EdgeFunction:
     return EdgeFunction(e2, {eid: sum(map(h, pair)) for eid, pair in w.theta2.items()})
 
 
-def _weights_via_phi(
-    w: SseWitness,
-    f: EdgeFunction,
-    phi: Mapping[str, str],
-    target_class: tuple[str, ...],
-    theta_slot: int,
-    slot_name: str,
-) -> tuple[EdgeFunction, EdgeFunction]:
+def _push_forward(w: SseWitness, f: EdgeFunction, slot: int) -> tuple[EdgeFunction, EdgeFunction]:
+    """(h, g): h copies f along phi, which sends each side-1 edge to the edge
+    in ``slot`` of its theta1 path, and zeroes every other witness edge; g is
+    the theta2 transport of h.  phi must be a bijection onto the e12 class
+    (slot 0) or the e21 class (slot 1)."""
     _check_against_witness(f, w.theta1, w.vmap1, "f")
-    if set(phi) != set(w.theta1):
-        raise TransportError("phi must be defined exactly on the side-1 edges")
-    values = list(phi.values())
-    if len(set(values)) != len(values) or set(values) != set(target_class):
-        raise TransportError("phi is not a bijection onto the required witness edge class")
-    for eid, pair in w.theta1.items():
-        if pair[theta_slot] != phi[eid]:
-            raise TransportError(
-                f"phi({eid!r}) = {phi[eid]!r} is not the {slot_name} edge of its theta1 path {pair!r}"
-            )
-    weights = {eta: 0 for eta in w.e3.edge_ids()}
-    for eid, eta in phi.items():
-        weights[eta] = f(eid)
+    phi = {eid: pair[slot] for eid, pair in w.theta1.items()}
+    name, target = (("e12", w.e12), ("e21", w.e21))[slot]
+    values = set(phi.values())
+    if len(values) != len(phi) or values != set(target):
+        raise TransportError(f"phi = theta1[{slot}] is not a bijection onto the {name} class")
+    weights = dict.fromkeys(w.e3.edge_ids(), 0)
+    weights.update((eta, f(eid)) for eid, eta in phi.items())
     h = EdgeFunction(w.e3, weights)
     return h, transport_g_from_h(w, h)
 
 
-def weights_from_f_E12(
-    w: SseWitness, f: EdgeFunction, phi: Mapping[str, str]
-) -> tuple[EdgeFunction, EdgeFunction]:
-    """Construct (h, g) from f via a bijection phi onto the e12 class.
-
-    phi must send each side-1 edge to the first edge of its theta1 path.  h
-    copies f onto the e12 edges and zeroes the e21 edges; g is the theta2
-    transport.  Both theta maps come out weight-preserving.
-    """
-    return _weights_via_phi(w, f, phi, w.e12, 0, "first")
+def weights_from_f_E12(w: SseWitness, f: EdgeFunction) -> tuple[EdgeFunction, EdgeFunction]:
+    """Construct (h, g) from f on the e12 class: h copies f onto the first
+    edge of each theta1 path and zeroes the e21 edges; g is the theta2
+    transport.  Both theta maps come out weight-preserving."""
+    return _push_forward(w, f, 0)
 
 
-def weights_from_f_E21(
-    w: SseWitness, f: EdgeFunction, phi: Mapping[str, str]
-) -> tuple[EdgeFunction, EdgeFunction]:
-    """As ``weights_from_f_E12`` with phi onto the e21 class (second path edge)."""
-    return _weights_via_phi(w, f, phi, w.e21, 1, "second")
+def weights_from_f_E21(w: SseWitness, f: EdgeFunction) -> tuple[EdgeFunction, EdgeFunction]:
+    """As ``weights_from_f_E12`` on the e21 class (second path edge)."""
+    return _push_forward(w, f, 1)
 
 
 # -- lifting a side-2 weighting to the intermediate graph --------------------

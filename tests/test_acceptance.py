@@ -12,18 +12,15 @@ from ssekit import (
     EssePair,
     NonnegIntMatrix,
     SseWitness,
-    WeightTriple,
     check_weight_preserving,
     insplit_apply,
     insplit_reverse_transport,
-    insplit_transport_f,
     insplit_witness,
     is_isomorphic,
     lift_edge_function,
     matrix_essse_search,
     matrix_essse_verify,
     outsplit_apply,
-    outsplit_transport_f,
     outsplit_witness,
     periodic_point_profile,
     sse_chain_search,
@@ -83,7 +80,7 @@ def test_criterion_2_insplit_figures(loop_feed):
         ("v~2", "v~1"),
         ("w~", "v~2"),
     }
-    g2 = insplit_transport_f(g, spec, f)
+    _, g2 = weights_from_f_E21(insplit_witness(g, spec).witness, f)
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {"a~1": 1, "a~2": 1, "b~": 2}
     assert sorted(g2.weights.values()) == [1, 1, 2]
     _report(2, "insplit graph and transported weights {1, 1, 2} exact")
@@ -93,7 +90,8 @@ def test_criterion_3_outsplit_figures(fan):
     g, f, spec = fan
     app = outsplit_apply(g, spec)
     assert app.graph.vertices == ("w^1", "x^1", "x^2", "y^", "z^")
-    g2, h = outsplit_transport_f(g, spec, f)
+    bundle = outsplit_witness(g, spec)
+    h, g2 = weights_from_f_E12(bundle.witness, f)
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
         "a^1": 1,
         "b^1": 2,
@@ -101,7 +99,6 @@ def test_criterion_3_outsplit_figures(fan):
         "c^": 3,
         "d^": 4,
     }
-    bundle = outsplit_witness(g, spec)
     assert {eid: h(eid) for eid in bundle.witness.e12} == {
         "e12:a": 1,
         "e12:b": 2,
@@ -145,7 +142,7 @@ def test_criterion_5_reverse_failure(funnel):
     assert result.found
     recovered = {eid: result.f(eid) for eid in g.edge_ids()}
     assert recovered == {"wy": 3, "xy": -1, "e": 7}
-    back = insplit_transport_f(g, spec, result.f)
+    _, back = weights_from_f_E21(insplit_witness(g, spec).witness, result.f)
     assert dict(back.weights) == equal
     _report(5, "reverse transport: obstruction names the split edge, equal copies pull back")
 
@@ -188,7 +185,6 @@ def test_criterion_7_property_suite():
             h, g2 = weights_from_f_E21(
                 bundle.witness,
                 EdgeFunction(g, {e: rng.randint(-3, 3) for e in g.edge_ids()}),
-                bundle.phi2,
             )
         else:
             spec = random_outsplit_spec(rng, g, 3)
@@ -196,16 +192,12 @@ def test_criterion_7_property_suite():
             h, g2 = weights_from_f_E12(
                 bundle.witness,
                 EdgeFunction(g, {e: rng.randint(-3, 3) for e in g.edge_ids()}),
-                bundle.phi2,
             )
         # (a) every split witness passes all four conditions
         assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
         # (b) constructed weightings are weight-preserving on both sides
         f = EdgeFunction(g, {e: h(bundle.phi2[e]) for e in g.edge_ids()})
-        assert check_weight_preserving(WeightTriple(bundle.witness, f=f, g=g2, h=h)) == (
-            True,
-            True,
-        )
+        assert check_weight_preserving(bundle.witness, h, f=f, g=g2) == (True, True)
         # (c) periodic points agree through period 6 across the pair
         assert (
             periodic_point_profile(g, 6).traces

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+import ssekit
 from ssekit import (
+    EdgeFunction,
     serialize_graph,
     witness_to_json_obj,
 )
@@ -297,6 +299,41 @@ def test_transport_f_phi_side(run, files):
     assert payload["g"] == {"l1": 1, "m12": 1, "m21": 2, "l2": 2}
 
 
+@pytest.mark.parametrize("case", ["insplit", "outsplit", "transport_h", "transport_f", "lift_g", "lift_f"])
+def test_weight_files_bind_by_edge_id(run, files, two_loops, case):
+    """A graph-form weight file is read by edge id: the same edges and
+    vertices listed in another order give byte-identical output, and a file
+    missing an edge id is an input error."""
+    tl_e1, tl_e2, tl_e3 = two_loops[:3]
+    tmp = files["tmp"]
+
+    def weighted(name, graph, weights):
+        return _write(tmp / name, serialize_graph(graph, EdgeFunction(graph, weights)))
+
+    tl_f = weighted("tl_f.graph", tl_e1, {"p": 1, "q": 2})
+    tl_g = weighted("tl_g.graph", tl_e2, {"l1": 1, "m12": 1, "m21": 2, "l2": 2})
+    tl_h = weighted("tl_h.graph", tl_e3, {"a": 0, "b": 1, "c": 1, "d": 3})
+    argv, path = {
+        "insplit": (["insplit", files["loop"], "--spec", files["loop_spec"], "--weights"], files["loop_f"]),
+        "outsplit": (["outsplit", files["fan"], "--spec", files["fan_spec"], "--witness", "--weights"], files["fan_f"]),
+        "transport_h": (["transport", "--witness", files["tl_w"], "--h"], tl_h),
+        "transport_f": (["transport", "--witness", files["tl_w"], "--phi-side", "e21", "--f"], tl_f),
+        "lift_g": (["lift", "--witness", files["tl_w"], "--g"], tl_g),
+        "lift_f": (["lift", "--witness", files["tl_w"], "--g", tl_g, "--f"], tl_f),
+    }[case]
+    obj = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    obj["vertices"].reverse()
+    obj["edges"].reverse()
+    reordered = _write(tmp / "reordered.graph", json.dumps(obj))
+    obj["edges"].pop()
+    missing = _write(tmp / "missing.graph", json.dumps(obj))
+    code, out, err = run(*argv, path)
+    assert (code, err) == (0, "")
+    assert run(*argv, reordered) == (0, out, "")
+    code, out, err = run(*argv, missing)
+    assert (code, out) == (2, "") and "weight map misses edges" in err
+
+
 def test_broken_side2_witness_is_usage_error(run, files, broken_two_loops):
     h = _write(files["tmp"] / "h.weights", json.dumps({"weights": {"a": 0, "b": 1, "c": 1, "d": 3}}))
     for name, broken, message in broken_two_loops:
@@ -530,3 +567,25 @@ def test_library_imports_only_stdlib():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_public_api_is_pinned():
+    """``ssekit.__all__`` is the public API.  A name joins or leaves it only
+    with this list, so each addition or removal shows in review."""
+    assert sorted(ssekit.__all__) == [
+        "ChainSearchResult", "ChainStep", "DirectedMultigraph", "Edge", "EdgeFunction", "EssePair",
+        "EsseWitnessBundle", "GraphError", "GraphFormatError", "GraphIsomorphism",
+        "InvariantFilterResult", "LiftEquation", "LiftOutcome", "NonnegIntMatrix",
+        "PeriodicPointProfile", "ReverseTransportResult", "SplitApplication", "SplitReport",
+        "SplitSpec", "SplitSpecError", "SplitWitnessBundle", "SseWitness", "TransportError",
+        "WitnessConstructionError", "WitnessReferenceError", "WitnessReport", "adjacency_matrix",
+        "canonical_key", "check_weight_preserving", "classify_vertices", "find_theta_bijections",
+        "graph_from_matrix", "graphs", "insplit_apply", "insplit_reverse_transport",
+        "insplit_witness", "invariants", "is_isomorphic", "lift_edge_function",
+        "matrix_essse_search", "matrix_essse_verify", "outsplit_apply", "outsplit_witness",
+        "parse_graph", "parse_graph_with_weights", "parse_split_spec", "parse_witness",
+        "paths_between", "periodic_point_profile", "search", "serialize_graph", "splits", "sse",
+        "sse_chain_search", "sse_invariant_filter", "to_dot", "transport_g_from_h",
+        "validate_split_spec", "verify_sse_witness", "weights", "weights_from_f_E12",
+        "weights_from_f_E21", "witness_from_essse", "witness_to_json_obj",
+    ]

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -687,3 +688,17 @@ def test_dot_export(loop_feed):
     dot = to_dot(g, weights=f)
     assert dot.startswith("digraph {")
     assert '"w" -> "v" [label="b:2"];' in dot
+
+
+def test_dot_export_quotes_every_id():
+    """Each DOT line splits into balanced quoted strings with no quote or
+    backslash between them, and each string unescapes to its id or label."""
+    ids = ['a"b', "c\\d", "e\\", '"', "\\", "plain"]
+    g = DirectedMultigraph(tuple(ids), tuple(Edge(v + ">" + u, v, u) for v, u in zip(ids, ids[1:] + ids[:1])))
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    found = []
+    for line in to_dot(g, weights=EdgeFunction.zero(g)).splitlines():
+        between = quoted.sub("", line)
+        assert '"' not in between and "\\" not in between, line
+        found += [re.sub(r"\\(.)", r"\1", text) for text in quoted.findall(line)]
+    assert found == ids + [x for e in g.edges for x in (e.src, e.rng, f"{e.id}:0")]

@@ -14,10 +14,8 @@ from ssekit import (
     is_isomorphic,
     insplit_apply,
     insplit_reverse_transport,
-    insplit_transport_f,
     insplit_witness,
     outsplit_apply,
-    outsplit_transport_f,
     outsplit_witness,
     validate_split_spec,
     verify_sse_witness,
@@ -193,21 +191,21 @@ def test_insplit_witness_implied_graph_matches(loop_feed):
 
 def test_insplit_transport(loop_feed):
     g, f, spec = loop_feed
-    g2 = insplit_transport_f(g, spec, f)
+    g2, _ = _inherited_weights(f, insplit_witness(g, spec))
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {"a~1": 1, "a~2": 1, "b~": 2}
 
 
 def test_insplit_transport_zero(loop_feed):
     g, _, spec = loop_feed
-    g2 = insplit_transport_f(g, spec, EdgeFunction.zero(g))
+    g2, h = _inherited_weights(EdgeFunction.zero(g), insplit_witness(g, spec))
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
+    assert all(h(eid) == 0 for eid in h.graph.edge_ids())
 
 
 def test_split_transport_agrees_with_weights_route():
     """The direct weight rule against the witness route on seeded graphs:
-    g2 from ``insplit_transport_f`` and ``outsplit_transport_f``, h from
-    ``outsplit_transport_f``, and the (g2, h) the CLI prints must equal what
-    ``weights_from_f_E21`` / ``weights_from_f_E12`` build from phi2 (h on
+    the (g2, h) that ``_inherited_weights`` gives the CLI must equal what
+    ``weights_from_f_E21`` / ``weights_from_f_E12`` push forward (h on
     phi2's class, g2 carried along theta2)."""
     rng = random.Random(61)
     for _ in range(60):
@@ -215,12 +213,10 @@ def test_split_transport_agrees_with_weights_route():
         f = random_edge_function(rng, g)
         ispec, ospec = random_insplit_spec(rng, g, 3), random_outsplit_spec(rng, g, 3)
         ibundle, obundle = insplit_witness(g, ispec), outsplit_witness(g, ospec)
-        ih, ig2 = weights_from_f_E21(ibundle.witness, f, ibundle.phi2)
-        oh, og2 = weights_from_f_E12(obundle.witness, f, obundle.phi2)
-        assert insplit_transport_f(g, ispec, f) == ig2
-        assert outsplit_transport_f(g, ospec, f) == (og2, oh)
-        assert _inherited_weights(g, f, ibundle.application, ibundle) == (ig2, ih)
-        assert _inherited_weights(g, f, obundle.application, obundle) == (og2, oh)
+        ih, ig2 = weights_from_f_E21(ibundle.witness, f)
+        oh, og2 = weights_from_f_E12(obundle.witness, f)
+        assert _inherited_weights(f, ibundle) == (ig2, ih)
+        assert _inherited_weights(f, obundle) == (og2, oh)
 
 
 # -- reverse transport -------------------------------------------------------------
@@ -240,7 +236,7 @@ def test_reverse_transport_obstruction(funnel):
 def test_reverse_transport_round_trip(funnel):
     g, spec = funnel
     f = EdgeFunction(g, {"wy": 5, "xy": -2, "e": 7})
-    g2 = insplit_transport_f(g, spec, f)
+    g2, _ = _inherited_weights(f, insplit_witness(g, spec))
     result = insplit_reverse_transport(g, spec, g2)
     assert result.found
     assert {e: result.f(e) for e in g.edge_ids()} == {"wy": 5, "xy": -2, "e": 7}
@@ -255,7 +251,7 @@ def test_reverse_transport_random_copy_constant():
             continue
         spec = random_insplit_spec(rng, g, 3)
         f = random_edge_function(rng, g)
-        g2 = insplit_transport_f(g, spec, f)
+        g2, _ = _inherited_weights(f, insplit_witness(g, spec))
         result = insplit_reverse_transport(g, spec, g2)
         assert result.found
         assert {e: result.f(e) for e in g.edge_ids()} == {e: f(e) for e in g.edge_ids()}
@@ -336,7 +332,8 @@ def test_outsplit_witness_trivial(fan):
 
 def test_outsplit_transport_fan(fan):
     g, f, spec = fan
-    g2, h = outsplit_transport_f(g, spec, f)
+    bundle = outsplit_witness(g, spec)
+    g2, h = _inherited_weights(f, bundle)
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
         "a^1": 1,
         "b^1": 2,
@@ -344,7 +341,6 @@ def test_outsplit_transport_fan(fan):
         "c^": 3,
         "d^": 4,
     }
-    bundle = outsplit_witness(g, spec)
     reds = [h(eid) for eid in bundle.witness.e12]
     blues = [h(eid) for eid in bundle.witness.e21]
     assert sorted(reds) == [1, 2, 3, 4] and set(blues) == {0}
@@ -352,7 +348,7 @@ def test_outsplit_transport_fan(fan):
 
 def test_outsplit_transport_zero(fan):
     g, _, spec = fan
-    g2, h = outsplit_transport_f(g, spec, EdgeFunction.zero(g))
+    g2, h = _inherited_weights(EdgeFunction.zero(g), outsplit_witness(g, spec))
     assert all(g2(e) == 0 for e in g2.graph.edge_ids())
     assert all(h(e) == 0 for e in h.graph.edge_ids())
 

@@ -4,14 +4,16 @@ import pytest
 
 from ssekit import (
     EdgeFunction,
+    EssePair,
     GraphError,
+    NonnegIntMatrix,
     TransportError,
-    WeightTriple,
     check_weight_preserving,
     lift_edge_function,
     transport_g_from_h,
     weights_from_f_E12,
     weights_from_f_E21,
+    witness_from_essse,
 )
 from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
 from ssekit.splits import insplit_witness, outsplit_witness
@@ -23,39 +25,37 @@ from ssekit.splits import insplit_witness, outsplit_witness
 def test_check_two_loops_bad_weighting(two_loops):
     _, _, e3, w, g_bad, _ = two_loops
     h = EdgeFunction(e3, {"a": 0, "b": 1, "c": 1, "d": 3})
-    triple = WeightTriple(w, g=g_bad, h=h)
-    theta1_ok, theta2_ok = check_weight_preserving(triple)
+    theta1_ok, theta2_ok = check_weight_preserving(w, h, g=g_bad)
     assert theta1_ok  # f absent: nothing to violate
     assert not theta2_ok  # h(b) + h(d) = 4 != 5
 
 
 def test_check_zero_functions(two_loops):
     e1, e2, e3, w, _, _ = two_loops
-    triple = WeightTriple(w, f=EdgeFunction.zero(e1), g=EdgeFunction.zero(e2), h=EdgeFunction.zero(e3))
-    assert check_weight_preserving(triple) == (True, True)
+    zero = EdgeFunction.zero
+    assert check_weight_preserving(w, zero(e3), f=zero(e1), g=zero(e2)) == (True, True)
 
 
 def test_check_requires_h(two_loops):
-    _, e2, _, w, _, _ = two_loops
-    with pytest.raises(GraphError, match="needs the intermediate"):
-        check_weight_preserving(WeightTriple(w, g=EdgeFunction.zero(e2)))
+    _, _, _, w, _, _ = two_loops
     with pytest.raises(GraphError, match="needs f or g"):
-        check_weight_preserving(WeightTriple(w, h=EdgeFunction.zero(w.e3)))
+        check_weight_preserving(w, EdgeFunction.zero(w.e3))
 
 
 def test_triple_validates_graphs(two_loops, fan):
     _, _, _, w, _, _ = two_loops
     fan_graph, fan_f, _ = fan
     with pytest.raises(GraphError, match="side graph"):
-        WeightTriple(w, f=fan_f)
+        check_weight_preserving(w, EdgeFunction.zero(w.e3), f=fan_f)
+    with pytest.raises(GraphError, match="intermediate graph"):
+        check_weight_preserving(w, EdgeFunction.zero(fan_graph), g=EdgeFunction.zero(w.implied_graph2()))
 
 
 def test_check_fan_outsplit_independent_sums(fan):
     g, f, spec = fan
     bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, f, bundle.phi2)
-    triple = WeightTriple(bundle.witness, f=f, g=g2, h=h)
-    assert check_weight_preserving(triple) == (True, True)
+    h, g2 = weights_from_f_E12(bundle.witness, f)
+    assert check_weight_preserving(bundle.witness, h, f=f, g=g2) == (True, True)
     # independent recomputation of every path sum
     w = bundle.witness
     for eid, pair in w.theta1.items():
@@ -72,7 +72,7 @@ def test_transport_two_loops(two_loops):
     h = EdgeFunction(e3, {"a": 0, "b": 1, "c": 1, "d": 3})
     g = transport_g_from_h(w, h)
     assert {eid: g(eid) for eid in g.graph.edge_ids()} == {"l1": 1, "m12": 2, "m21": 3, "l2": 4}
-    assert check_weight_preserving(WeightTriple(w, g=g, h=h)) == (True, True)
+    assert check_weight_preserving(w, h, g=g) == (True, True)
 
 
 def test_transport_zero(two_loops):
@@ -105,8 +105,8 @@ def test_broken_side2_witness_rejected_with_its_message(two_loops, broken_two_lo
     for name, broken, message in broken_two_loops:
         calls = (
             lambda: transport_g_from_h(broken, h),
-            lambda: weights_from_f_E12(broken, f, {eid: pair[0] for eid, pair in w.theta1.items()}),
-            lambda: weights_from_f_E21(broken, f, {eid: pair[1] for eid, pair in w.theta1.items()}),
+            lambda: weights_from_f_E12(broken, f),
+            lambda: weights_from_f_E21(broken, f),
         )
         for call in calls:
             with pytest.raises(GraphError) as exc:
@@ -120,7 +120,7 @@ def test_broken_side2_witness_rejected_with_its_message(two_loops, broken_two_lo
 def test_weights_from_f_e12_fan(fan):
     g, f, spec = fan
     bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, f, bundle.phi2)
+    h, g2 = weights_from_f_E12(bundle.witness, f)
     reds = {eid: h(eid) for eid in bundle.witness.e12}
     blues = {eid: h(eid) for eid in bundle.witness.e21}
     assert sorted(reds.values()) == [1, 2, 3, 4]
@@ -137,7 +137,7 @@ def test_weights_from_f_e12_fan(fan):
 def test_weights_from_f_e21_loop_feed(loop_feed):
     g, f, spec = loop_feed
     bundle = insplit_witness(g, spec)
-    h, g2 = weights_from_f_E21(bundle.witness, f, bundle.phi2)
+    h, g2 = weights_from_f_E21(bundle.witness, f)
     blues = {eid: h(eid) for eid in bundle.witness.e21}
     reds = {eid: h(eid) for eid in bundle.witness.e12}
     assert sorted(blues.values()) == [1, 2]
@@ -148,7 +148,7 @@ def test_weights_from_f_e21_loop_feed(loop_feed):
 def test_weights_zero_function(fan):
     g, _, spec = fan
     bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, EdgeFunction.zero(g), bundle.phi2)
+    h, g2 = weights_from_f_E12(bundle.witness, EdgeFunction.zero(g))
     assert all(h(eid) == 0 for eid in h.graph.edge_ids())
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
 
@@ -158,34 +158,28 @@ def test_weights_outputs_always_weight_preserving(fan, loop_feed):
                                   (loop_feed, insplit_witness, weights_from_f_E21)):
         g, f, spec = fixture
         bundle = build(g, spec)
-        h, g2 = which(bundle.witness, f, bundle.phi2)
-        triple = WeightTriple(bundle.witness, f=f, g=g2, h=h)
-        assert check_weight_preserving(triple) == (True, True)
+        h, g2 = which(bundle.witness, f)
+        assert check_weight_preserving(bundle.witness, h, f=f, g=g2) == (True, True)
 
 
-def test_phi_must_be_bijection(fan):
-    g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
-    squashed = dict(bundle.phi2)
-    squashed["b"] = squashed["a"]
-    with pytest.raises(TransportError, match="bijection"):
-        weights_from_f_E12(bundle.witness, f, squashed)
-
-
-def test_phi_must_match_theta_slot(fan):
-    g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
-    swapped = dict(bundle.phi2)
-    swapped["a"], swapped["b"] = swapped["b"], swapped["a"]
-    with pytest.raises(TransportError, match="not the first edge"):
-        weights_from_f_E12(bundle.witness, f, swapped)
+def test_phi_must_be_bijection():
+    # A = B = R = [[2]], S = [[1]]: both theta1 paths end in the one e21 edge,
+    # while their first edges are the two e12 edges.
+    m = NonnegIntMatrix.from_entries
+    bundle = witness_from_essse(EssePair(m([[2]]), m([[2]]), m([[2]]), m([[1]])))
+    w = bundle.witness
+    f = EdgeFunction(bundle.e1, dict(zip(bundle.e1.edge_ids(), (3, -5))))
+    with pytest.raises(TransportError, match="bijection onto the e21 class"):
+        weights_from_f_E21(w, f)
+    h, g = weights_from_f_E12(w, f)
+    assert check_weight_preserving(w, h, f=f, g=g) == (True, True)
 
 
 def test_phi_wrong_class_rejected(loop_feed):
     g, f, spec = loop_feed
     bundle = insplit_witness(g, spec)
-    with pytest.raises(TransportError, match="bijection onto"):
-        weights_from_f_E12(bundle.witness, f, bundle.phi2)  # phi2 lands in e21 here
+    with pytest.raises(TransportError, match="bijection onto the e12 class"):
+        weights_from_f_E12(bundle.witness, f)  # theta1's first edges miss e12:w~
 
 
 # -- lifting -----------------------------------------------------------------------
@@ -223,7 +217,7 @@ def test_lift_zero(two_loops):
 def test_lift_with_f_constraints(fan):
     g, f, spec = fan
     bundle = outsplit_witness(g, spec)
-    _, g2 = weights_from_f_E12(bundle.witness, f, bundle.phi2)
+    _, g2 = weights_from_f_E12(bundle.witness, f)
     outcome = lift_edge_function(bundle.witness, g2, f)
     assert outcome.status == "feasible"
     for eq in outcome.equations:
