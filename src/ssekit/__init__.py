@@ -32,12 +32,10 @@ from .splits import (
     SplitSpec,
     SplitSpecError,
     SplitWitnessBundle,
-    insplit_apply,
-    insplit_reverse_transport,
-    insplit_witness,
-    outsplit_apply,
-    outsplit_witness,
     parse_split_spec,
+    reverse_transport,
+    split_apply,
+    split_witness,
     validate_split_spec,
 )
 from .search import ChainSearchResult, ChainStep, sse_chain_search
@@ -62,9 +60,8 @@ from .weights import (
     TransportError,
     check_weight_preserving,
     lift_edge_function,
+    push_forward,
     transport_g_from_h,
-    weights_from_f_E12,
-    weights_from_f_E21,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

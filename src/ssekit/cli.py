@@ -32,10 +32,11 @@ from .graphs import (
 )
 from .invariants import periodic_point_profile, sse_invariant_filter
 from .search import sse_chain_search
-from .splits import _inherited_weights, insplit_witness, outsplit_witness, parse_split_spec
+from .splits import _inherited_weights, parse_split_spec, split_witness
 from .sse import (
     EssePair,
     SseWitness,
+    _entry_bound,
     find_theta_bijections,
     matrix_essse_search,
     matrix_essse_verify,
@@ -46,12 +47,7 @@ from .sse import (
     witness_from_json_obj,
     witness_to_json_obj,
 )
-from .weights import (
-    lift_edge_function,
-    transport_g_from_h,
-    weights_from_f_E12,
-    weights_from_f_E21,
-)
+from .weights import lift_edge_function, push_forward, transport_g_from_h
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -140,13 +136,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_split(args: argparse.Namespace, kind: str) -> int:
+def cmd_split(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph)
     spec = _parsed(args.spec, parse_split_spec, _read(args.spec))
-    if spec.kind != kind:
-        raise GraphFormatError(f"{args.spec}: expected an {kind} spec, found {spec.kind!r}")
+    if spec.kind != args.command:
+        raise GraphFormatError(f"{args.spec}: expected an {args.command} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None
-    bundle = insplit_witness(g, spec) if kind == "insplit" else outsplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     g2, h = _inherited_weights(f, bundle) if f is not None else (None, None)
     out: dict = {
         "e2": graph_to_json_obj(bundle.e2, g2),
@@ -161,14 +157,6 @@ def _cmd_split(args: argparse.Namespace, kind: str) -> int:
             out["h"] = _weight_obj(h)
     _emit(out)
     return EXIT_OK
-
-
-def cmd_insplit(args: argparse.Namespace) -> int:
-    return _cmd_split(args, "insplit")
-
-
-def cmd_outsplit(args: argparse.Namespace) -> int:
-    return _cmd_split(args, "outsplit")
 
 
 def cmd_sse_verify(args: argparse.Namespace) -> int:
@@ -224,8 +212,7 @@ def cmd_transport(args: argparse.Namespace) -> int:
         _emit({"g": _weight_obj(g)})
         return EXIT_OK
     f = _load_weight_map(args.f, w.implied_graph1())
-    builder = weights_from_f_E12 if args.phi_side == "e12" else weights_from_f_E21
-    h, g = builder(w, f)
+    h, g = push_forward(w, f, args.phi_side)
     _emit({"h": _weight_obj(h), "g": _weight_obj(g)})
     return EXIT_OK
 
@@ -242,9 +229,10 @@ def cmd_matrix_verify(args: argparse.Namespace) -> int:
 def cmd_matrix_search(args: argparse.Namespace) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    found = matrix_essse_search(a, b, args.bound)
+    bound = _entry_bound(a, b, args.bound)
+    found = matrix_essse_search(a, b, bound)
     if found is None:
-        _emit({"status": "absent", "entry_bound": args.bound})
+        _emit({"status": "absent", "entry_bound": bound})
         return EXIT_NEGATIVE
     r, s = found
     _emit({"status": "found", "r": r.to_json_obj(), "s": s.to_json_obj()})
@@ -325,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=cmd_classify)
 
-    for kind, fn in (("insplit", cmd_insplit), ("outsplit", cmd_outsplit)):
+    for kind in ("insplit", "outsplit"):
         p = sub.add_parser(kind, help=f"apply an {kind} and optionally emit its witness")
         p.add_argument("graph")
         p.add_argument("--spec", required=True, help="split spec file")
         p.add_argument("--witness", action="store_true", help="include the intermediate graph and witness")
         p.add_argument("--weights", help="weight file to transport through the split")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("sse-verify", help="check the four witness conditions")
     p.add_argument("e1")

@@ -45,18 +45,10 @@ def random_partition(
     return tuple(tuple(blocks[b]) for b in order)
 
 
-def _random_split_spec(rng: random.Random, g: DirectedMultigraph, kind: str, max_parts: int) -> SplitSpec:
-    """A random valid spec: a random partition of each mapped vertex's fiber."""
+def random_split_spec(rng: random.Random, g: DirectedMultigraph, kind: str, max_parts: int = 3) -> SplitSpec:
+    """A random valid spec of ``kind``: a random partition of each mapped fiber."""
     fibers = _mapped_fibers(g, kind)
     return SplitSpec(kind, {v: random_partition(rng, [e.id for e in es], max_parts) for v, es in fibers})
-
-
-def random_insplit_spec(rng: random.Random, g: DirectedMultigraph, max_parts: int = 3) -> SplitSpec:
-    return _random_split_spec(rng, g, "insplit", max_parts)
-
-
-def random_outsplit_spec(rng: random.Random, g: DirectedMultigraph, max_parts: int = 3) -> SplitSpec:
-    return _random_split_spec(rng, g, "outsplit", max_parts)
 
 
 def random_edge_function(

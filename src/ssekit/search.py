@@ -176,9 +176,9 @@ def sse_chain_search(
     vertex capped by ``max_parts``, intermediate graphs by ``max_vertices``);
     frontiers are keyed by graph canonical form, so legs meet exactly when
     they reach isomorphic graphs.  The endpoints' periodic-point profiles up
-    to period 4 are compared first and a mismatch refutes at once; splits
-    preserve the profile, so no state is pruned on it.  Absence within the
-    bounds decides nothing.
+    to period max(|V1|, |V2|, 1), which fix every later trace by Newton's
+    identities, are compared first and a mismatch refutes at once; splits
+    preserve the profile.  Absence within the bounds decides nothing.
 
     The bounds are the only throttle: the number of moves per state is the
     product of per-vertex vector-partition counts (partitions of a vertex's
@@ -199,7 +199,7 @@ def sse_chain_search(
     if max_vertices < 1 or max_parts < 1:
         raise GraphError("max_vertices and max_parts must be at least 1")
 
-    inv = sse_invariant_filter(e1, e2, 4)
+    inv = sse_invariant_filter(e1, e2, max(len(e1.vertices), len(e2.vertices), 1))
     if not inv.passed:
         return ChainSearchResult(
             "absent",

@@ -10,9 +10,11 @@ reproducible byte for byte and recoverable from ids alone:
 * outsplit vertices ``v^i`` / ``v^``, edge copies ``e^j`` / ``e^``.
 
 Class lists are 1-based and order-significant: a class's position in the
-split spec is the copy index the construction uses.
+split spec is the copy index the construction uses.  The spec's ``kind`` is
+the only place the kind is chosen: ``split_apply``, ``split_witness`` and
+``reverse_transport`` serve both.
 
-Both splits are strong shift equivalences; one witness constructor builds the
+Both splits are strong shift equivalences; ``split_witness`` builds the
 intermediate graph together with the canonical theta bijections and the
 class bijections (phi1 on the new graph's vertices, phi2 on the original
 edges).  One rule carries a weighting f across either kind of split: every
@@ -157,14 +159,6 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
     return SplitReport(not violations, violations)
 
 
-def _require(g: DirectedMultigraph, spec: SplitSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise GraphError(f"expected an {kind} spec, got {spec.kind!r}")
-    report = validate_split_spec(g, spec)
-    if not report.valid:
-        raise SplitSpecError(report)
-
-
 @dataclass(frozen=True)
 class SplitApplication:
     graph: DirectedMultigraph
@@ -172,19 +166,13 @@ class SplitApplication:
     edge_origin: Mapping[str, tuple[str, int | None]]
 
 
-def insplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
-    """Form the insplit graph: one vertex per incoming-edge class, one edge
-    copy per class at the edge's source; the copy's range is the class of the
-    original edge."""
-    _require(g, spec, "insplit")
-    return _build_split(g, spec)
-
-
-def outsplit_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
-    """Form the outsplit graph: one vertex per outgoing-edge class, one edge
-    copy per class at the edge's range; the copy's source is the class of the
-    original edge (sources keep their whole out-bundle on the unindexed copy)."""
-    _require(g, spec, "outsplit")
+def split_apply(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
+    """Form the split graph of ``g`` of the kind ``spec`` names, after
+    checking the spec with ``validate_split_spec`` (``SplitSpecError`` if it
+    fails)."""
+    report = validate_split_spec(g, spec)
+    if not report.valid:
+        raise SplitSpecError(report)
     return _build_split(g, spec)
 
 
@@ -230,8 +218,8 @@ class SplitWitnessBundle:
         return self.application.graph
 
 
-def _split_witness(g: DirectedMultigraph, app: SplitApplication, insplit: bool) -> SplitWitnessBundle:
-    """The witness of the split ``app`` of ``g``.  Side 1 keeps ``g``'s vertex
+def split_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
+    """``split_apply(g, spec)`` with its witness.  Side 1 keeps ``g``'s vertex
     ids and side 2 takes the split graph's, primed where they collide.
 
     phi2 gives each original edge a witness edge between its far end in ``g``
@@ -241,6 +229,8 @@ def _split_witness(g: DirectedMultigraph, app: SplitApplication, insplit: bool) 
     in the opposite order: theta1(e) is phi1(near copy) with phi2(e), theta2(c)
     is phi2(origin of c) with phi1(far copy of c), in that order for an
     insplit."""
+    app = split_apply(g, spec)
+    insplit = spec.kind == "insplit"
     side1 = tuple(g.vertices)
     vmap2 = _fresh_ids(side1, app.graph.vertices)
     side2 = tuple(vmap2.values())
@@ -270,16 +260,6 @@ def _split_witness(g: DirectedMultigraph, app: SplitApplication, insplit: bool) 
         },
     )
     return SplitWitnessBundle(witness, phi1, phi2, app)
-
-
-def insplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
-    """The intermediate graph of an insplit, with its theta and phi maps."""
-    return _split_witness(g, insplit_apply(g, spec), True)
-
-
-def outsplit_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
-    """The intermediate graph of an outsplit, with its theta and phi maps."""
-    return _split_witness(g, outsplit_apply(g, spec), False)
 
 
 def _inherited_weights(f: EdgeFunction, bundle: SplitWitnessBundle) -> tuple[EdgeFunction, EdgeFunction]:
@@ -315,18 +295,17 @@ class ReverseTransportResult:
         }
 
 
-def insplit_reverse_transport(
-    g: DirectedMultigraph, spec: SplitSpec, g2: EdgeFunction
-) -> ReverseTransportResult:
-    """Pull a weighting back through an insplit, when possible.
+def reverse_transport(g: DirectedMultigraph, spec: SplitSpec, g2: EdgeFunction) -> ReverseTransportResult:
+    """Pull a weighting of the split of ``g`` by ``spec`` back to ``g``, when
+    possible, for either kind of split.
 
     A generator-level preimage exists exactly when the weighting is constant
     across the copies of each original edge; otherwise the differing copies
     are the obstruction, reported per edge.
     """
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     if g2.graph != app.graph:
-        raise GraphError("g2 is not a weight map on the insplit of this graph")
+        raise GraphError(f"g2 is not a weight map on the {spec.kind} of this graph")
     by_origin: dict[str, dict[str, int]] = {}
     for ne in app.graph.edge_ids():
         origin = app.edge_origin[ne][0]

@@ -590,6 +590,11 @@ def _least_solution(
     return walk(0)
 
 
+def _entry_bound(a: NonnegIntMatrix, b: NonnegIntMatrix, entry_bound: int | None) -> int:
+    """``entry_bound``, or by default the largest entry of A and B."""
+    return max((x for row in a.entries + b.entries for x in row), default=0) if entry_bound is None else entry_bound
+
+
 def matrix_essse_search(
     a: NonnegIntMatrix, b: NonnegIntMatrix, entry_bound: int | None = None
 ) -> tuple[NonnegIntMatrix, NonnegIntMatrix] | None:
@@ -615,7 +620,7 @@ def matrix_essse_search(
         raise GraphError("search needs square A and B")
     n = a.nrows
     k = b.nrows
-    m = max(map(max, a.entries + b.entries), default=0) if entry_bound is None else entry_bound
+    m = _entry_bound(a, b, entry_bound)
     if m < 0:
         raise GraphError("entry bound must be nonnegative")
     if a.power_traces(max(n, k)) != b.power_traces(max(n, k)):

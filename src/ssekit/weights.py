@@ -6,11 +6,11 @@ represents: h(theta1(e)) = f(e) on side 1, h(theta2(e)) = g(e) on side 2.
 Checks, constructions, and the lifting solver all work at this
 generator level; nothing else is modelled.
 
-Weights given on side 1 always push forward: zero the witness edges on one
-class, copy f onto the other along the bijection phi that theta1 fixes, and
-transport to side 2 along theta2.  Weights given on side 2 need not pull
-back; feasibility of the defining linear system is decided exactly, with an
-explicit inconsistent cycle as the certificate when it fails.
+Weights given on side 1 always push forward (``push_forward``): zero the
+witness edges on one class, copy f onto the other along the bijection phi
+that theta1 fixes, and transport to side 2 along theta2.  Side-2 weights
+need not pull back; feasibility of the defining linear system is decided
+exactly, with an inconsistent cycle as the certificate when it fails.
 """
 
 from __future__ import annotations
@@ -74,33 +74,25 @@ def transport_g_from_h(w: SseWitness, h: EdgeFunction) -> EdgeFunction:
     return EdgeFunction(e2, {eid: sum(map(h, pair)) for eid, pair in w.theta2.items()})
 
 
-def _push_forward(w: SseWitness, f: EdgeFunction, slot: int) -> tuple[EdgeFunction, EdgeFunction]:
-    """(h, g): h copies f along phi, which sends each side-1 edge to the edge
-    in ``slot`` of its theta1 path, and zeroes every other witness edge; g is
-    the theta2 transport of h.  phi must be a bijection onto the e12 class
-    (slot 0) or the e21 class (slot 1)."""
+def push_forward(w: SseWitness, f: EdgeFunction, side: str) -> tuple[EdgeFunction, EdgeFunction]:
+    """(h, g) from a side-1 weighting f: h copies f along phi onto the witness
+    class ``side`` ("e12" or "e21") and zeroes every other witness edge; g is
+    the theta2 transport of h.  phi sends each side-1 edge to the edge of its
+    theta1 path in that class, the first for e12 and the second for e21, and
+    must be a bijection onto the class.  Both theta maps come out
+    weight-preserving."""
+    if side not in ("e12", "e21"):
+        raise GraphError(f'side must be "e12" or "e21", not {side!r}')
     _check_against_witness(f, w.theta1, w.vmap1, "f")
+    slot, target = (0, w.e12) if side == "e12" else (1, w.e21)
     phi = {eid: pair[slot] for eid, pair in w.theta1.items()}
-    name, target = (("e12", w.e12), ("e21", w.e21))[slot]
     values = set(phi.values())
     if len(values) != len(phi) or values != set(target):
-        raise TransportError(f"phi = theta1[{slot}] is not a bijection onto the {name} class")
+        raise TransportError(f"phi = theta1[{slot}] is not a bijection onto the {side} class")
     weights = dict.fromkeys(w.e3.edge_ids(), 0)
     weights.update((eta, f(eid)) for eid, eta in phi.items())
     h = EdgeFunction(w.e3, weights)
     return h, transport_g_from_h(w, h)
-
-
-def weights_from_f_E12(w: SseWitness, f: EdgeFunction) -> tuple[EdgeFunction, EdgeFunction]:
-    """Construct (h, g) from f on the e12 class: h copies f onto the first
-    edge of each theta1 path and zeroes the e21 edges; g is the theta2
-    transport.  Both theta maps come out weight-preserving."""
-    return _push_forward(w, f, 0)
-
-
-def weights_from_f_E21(w: SseWitness, f: EdgeFunction) -> tuple[EdgeFunction, EdgeFunction]:
-    """As ``weights_from_f_E12`` on the e21 class (second path edge)."""
-    return _push_forward(w, f, 1)
 
 
 # -- lifting a side-2 weighting to the intermediate graph --------------------

@@ -13,23 +13,20 @@ from ssekit import (
     NonnegIntMatrix,
     SseWitness,
     check_weight_preserving,
-    insplit_apply,
-    insplit_reverse_transport,
-    insplit_witness,
     is_isomorphic,
     lift_edge_function,
     matrix_essse_search,
     matrix_essse_verify,
-    outsplit_apply,
-    outsplit_witness,
     periodic_point_profile,
+    push_forward,
+    reverse_transport,
+    split_apply,
+    split_witness,
     sse_chain_search,
     verify_sse_witness,
-    weights_from_f_E12,
-    weights_from_f_E21,
     witness_from_essse,
 )
-from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
+from ssekit.corpus import random_graph, random_split_spec
 from ssekit.splits import SplitSpec
 
 from test_weights import _brute_force_lift
@@ -73,14 +70,14 @@ def test_criterion_1_fork_witness(fork):
 
 def test_criterion_2_insplit_figures(loop_feed):
     g, f, spec = loop_feed
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert app.graph.vertices == ("v~1", "v~2", "w~")
     assert {(e.src, e.rng) for e in app.graph.edges} == {
         ("v~1", "v~1"),
         ("v~2", "v~1"),
         ("w~", "v~2"),
     }
-    _, g2 = weights_from_f_E21(insplit_witness(g, spec).witness, f)
+    _, g2 = push_forward(split_witness(g, spec).witness, f, "e21")
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {"a~1": 1, "a~2": 1, "b~": 2}
     assert sorted(g2.weights.values()) == [1, 1, 2]
     _report(2, "insplit graph and transported weights {1, 1, 2} exact")
@@ -88,10 +85,10 @@ def test_criterion_2_insplit_figures(loop_feed):
 
 def test_criterion_3_outsplit_figures(fan):
     g, f, spec = fan
-    app = outsplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert app.graph.vertices == ("w^1", "x^1", "x^2", "y^", "z^")
-    bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, f)
+    bundle = split_witness(g, spec)
+    h, g2 = push_forward(bundle.witness, f, "e12")
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
         "a^1": 1,
         "b^1": 2,
@@ -127,22 +124,22 @@ def test_criterion_4_lift_remark(two_loops):
 
 def test_criterion_5_reverse_failure(funnel):
     g, spec = funnel
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
 
     weights = {eid: 0 for eid in app.graph.edge_ids()}
     weights["e~1"], weights["e~2"] = 0, 1
-    result = insplit_reverse_transport(g, spec, EdgeFunction(app.graph, weights))
+    result = reverse_transport(g, spec, EdgeFunction(app.graph, weights))
     assert not result.found
     assert result.obstructions[0][0] == "e"
 
     equal = {eid: 0 for eid in app.graph.edge_ids()}
     equal["e~1"] = equal["e~2"] = 7
     equal["wy~"], equal["xy~"] = 3, -1
-    result = insplit_reverse_transport(g, spec, EdgeFunction(app.graph, equal))
+    result = reverse_transport(g, spec, EdgeFunction(app.graph, equal))
     assert result.found
     recovered = {eid: result.f(eid) for eid in g.edge_ids()}
     assert recovered == {"wy": 3, "xy": -1, "e": 7}
-    _, back = weights_from_f_E21(insplit_witness(g, spec).witness, result.f)
+    _, back = push_forward(split_witness(g, spec).witness, result.f, "e21")
     assert dict(back.weights) == equal
     _report(5, "reverse transport: obstruction names the split edge, equal copies pull back")
 
@@ -179,20 +176,10 @@ def test_criterion_7_property_suite():
         g = random_graph(rng, max_vertices=6, max_edges=12)
         if not g.edges:
             continue
-        if witness_cases % 2 == 0:
-            spec = random_insplit_spec(rng, g, 3)
-            bundle = insplit_witness(g, spec)
-            h, g2 = weights_from_f_E21(
-                bundle.witness,
-                EdgeFunction(g, {e: rng.randint(-3, 3) for e in g.edge_ids()}),
-            )
-        else:
-            spec = random_outsplit_spec(rng, g, 3)
-            bundle = outsplit_witness(g, spec)
-            h, g2 = weights_from_f_E12(
-                bundle.witness,
-                EdgeFunction(g, {e: rng.randint(-3, 3) for e in g.edge_ids()}),
-            )
+        kind, side = ("insplit", "e21") if witness_cases % 2 == 0 else ("outsplit", "e12")
+        bundle = split_witness(g, random_split_spec(rng, g, kind, 3))
+        weights = EdgeFunction(g, {e: rng.randint(-3, 3) for e in g.edge_ids()})
+        h, g2 = push_forward(bundle.witness, weights, side)
         # (a) every split witness passes all four conditions
         assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
         # (b) constructed weightings are weight-preserving on both sides
@@ -213,9 +200,9 @@ def test_criterion_7_property_suite():
         if not g.edges:
             continue
         bundle = (
-            insplit_witness(g, random_insplit_spec(rng, g, 2))
+            split_witness(g, random_split_spec(rng, g, "insplit", 2))
             if lift_cases % 2 == 0
-            else outsplit_witness(g, random_outsplit_spec(rng, g, 2))
+            else split_witness(g, random_split_spec(rng, g, "outsplit", 2))
         )
         if len(bundle.witness.e3.edges) > 8:
             continue
@@ -244,7 +231,7 @@ def test_criterion_8_chain_search(loop_feed, two_loops):
     start = time.perf_counter()
 
     g, _, spec = loop_feed
-    e2 = insplit_apply(g, spec).graph
+    e2 = split_apply(g, spec).graph
     result = sse_chain_search(g, e2, max_steps=1)
     assert result.status == "found" and result.total_steps == 1
     assert result.steps_from_e1[0].move == "insplit"
@@ -255,8 +242,8 @@ def test_criterion_8_chain_search(loop_feed, two_loops):
     assert mismatch.status == "absent" and mismatch.reason == "invariant-mismatch"
 
     base = two_loops[0]
-    mid = insplit_apply(base, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
-    far = outsplit_apply(
+    mid = split_apply(base, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
+    far = split_apply(
         mid,
         SplitSpec("outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)}),
     ).graph

@@ -178,6 +178,15 @@ def test_split_spec_format_error_names_the_file(run, files):
     assert (code, out, err) == (2, "", f'error: {spec}: split spec needs "kind" and "parts"\n')
 
 
+def test_split_spec_of_the_other_kind_is_input_error(run, files):
+    for command, graph, spec, found in (
+        ("insplit", files["fan"], files["fan_spec"], "outsplit"),
+        ("outsplit", files["loop"], files["loop_spec"], "insplit"),
+    ):
+        code, out, err = run(command, graph, "--spec", spec)
+        assert (code, out, err) == (2, "", f"error: {spec}: expected an {command} spec, found {found!r}\n")
+
+
 def test_outsplit_with_weights_and_witness(run, files):
     code, out, _ = run(
         "outsplit", files["fan"], "--spec", files["fan_spec"], "--weights", files["fan_f"], "--witness"
@@ -421,6 +430,13 @@ def test_matrix_search_absent(run, files):
     assert json.loads(out)["status"] == "absent"
 
 
+def test_matrix_search_prints_the_bound_it_used(run, files):
+    b3 = _write(files["tmp"] / "b3.matrix", json.dumps({"entries": [[3]]}))
+    default = run("matrix-search", files["mat_a"], b3)
+    assert default == run("matrix-search", files["mat_a"], b3, "--bound", "3")
+    assert default[0] == 1 and json.loads(default[1]) == {"status": "absent", "entry_bound": 3}
+
+
 def test_matrix_search_empty_a_against_nonzero_b(run, files):
     empty = _write(files["tmp"] / "empty.matrix", json.dumps({"entries": []}))
     nilpotent = _write(files["tmp"] / "nil.matrix", json.dumps({"entries": [[0, 1], [0, 0]]}))
@@ -580,12 +596,11 @@ def test_public_api_is_pinned():
         "SplitSpec", "SplitSpecError", "SplitWitnessBundle", "SseWitness", "TransportError",
         "WitnessConstructionError", "WitnessReferenceError", "WitnessReport", "adjacency_matrix",
         "canonical_key", "check_weight_preserving", "classify_vertices", "find_theta_bijections",
-        "graph_from_matrix", "graphs", "insplit_apply", "insplit_reverse_transport",
-        "insplit_witness", "invariants", "is_isomorphic", "lift_edge_function",
-        "matrix_essse_search", "matrix_essse_verify", "outsplit_apply", "outsplit_witness",
-        "parse_graph", "parse_graph_with_weights", "parse_split_spec", "parse_witness",
-        "paths_between", "periodic_point_profile", "search", "serialize_graph", "splits", "sse",
-        "sse_chain_search", "sse_invariant_filter", "to_dot", "transport_g_from_h",
-        "validate_split_spec", "verify_sse_witness", "weights", "weights_from_f_E12",
-        "weights_from_f_E21", "witness_from_essse", "witness_to_json_obj",
+        "graph_from_matrix", "graphs", "invariants", "is_isomorphic", "lift_edge_function",
+        "matrix_essse_search", "matrix_essse_verify", "parse_graph", "parse_graph_with_weights",
+        "parse_split_spec", "parse_witness", "paths_between", "periodic_point_profile",
+        "push_forward", "reverse_transport", "search", "serialize_graph", "split_apply",
+        "split_witness", "splits", "sse", "sse_chain_search", "sse_invariant_filter", "to_dot",
+        "transport_g_from_h", "validate_split_spec", "verify_sse_witness", "weights",
+        "witness_from_essse", "witness_to_json_obj",
     ]

@@ -21,8 +21,8 @@ import pytest
 
 from ssekit import DirectedMultigraph, SplitSpec, serialize_graph, witness_to_json_obj
 from ssekit.cli import main
-from ssekit.corpus import random_edge_function, random_graph, random_insplit_spec
-from ssekit.splits import insplit_apply, outsplit_apply
+from ssekit.corpus import random_edge_function, random_graph, random_split_spec
+from ssekit.splits import split_apply
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
@@ -104,15 +104,15 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
     tl_e1, tl_e2, tl_e3, tl_w, tl_bad, tl_good = two_loops
     g_funnel, spec_funnel = funnel
     broken = type(w)(**{**vars(w), "theta1": dict(w.theta1, e=("X1>y", "x>X1"))})
-    mid = insplit_apply(tl_e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
-    far = outsplit_apply(
+    mid = split_apply(tl_e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
+    far = split_apply(
         mid, SplitSpec("outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)})
     ).graph
     stripped = DirectedMultigraph(tl_e3.vertices, tuple(e for e in tl_e3.edges if e.id != "d"))
     # A seeded 30-vertex, 72-edge graph: its witness output is deep and wide.
     rng = random.Random(1)
     big = random_graph(rng, max_vertices=30, max_edges=120, min_vertices=30)
-    big_spec = random_insplit_spec(rng, big)
+    big_spec = random_split_spec(rng, big, "insplit")
     big_f = random_edge_function(rng, big, lo=-10**12, hi=10**12)
     sides = {
         "side1": list(tl_w.side1),
@@ -132,7 +132,7 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "loop": serialize_graph(g_loop),
         "loop_f": serialize_graph(g_loop, f_loop),
         "loop_spec": json.dumps(spec_loop.to_json_obj()),
-        "loop_split": serialize_graph(insplit_apply(g_loop, spec_loop).graph),
+        "loop_split": serialize_graph(split_apply(g_loop, spec_loop).graph),
         "bad_spec": json.dumps({"kind": "insplit", "parts": {"v": [["a"]]}}),
         "fan": serialize_graph(g_fan),
         "fan_f": serialize_graph(g_fan, f_fan),

@@ -12,22 +12,14 @@ from ssekit import (
     SplitSpecError,
     adjacency_matrix,
     is_isomorphic,
-    insplit_apply,
-    insplit_reverse_transport,
-    insplit_witness,
-    outsplit_apply,
-    outsplit_witness,
+    push_forward,
+    reverse_transport,
+    split_apply,
+    split_witness,
     validate_split_spec,
     verify_sse_witness,
-    weights_from_f_E12,
-    weights_from_f_E21,
 )
-from ssekit.corpus import (
-    random_edge_function,
-    random_graph,
-    random_insplit_spec,
-    random_outsplit_spec,
-)
+from ssekit.corpus import random_edge_function, random_graph, random_split_spec
 from ssekit.graphs import _count_matrix, canonical_key, canonical_key_of_counts
 from ssekit.splits import (
     _build_split,
@@ -110,7 +102,7 @@ def test_spec_kind_checked():
 
 def test_insplit_loop_feed_exact(loop_feed):
     g, _, spec = loop_feed
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert app.graph.vertices == ("v~1", "v~2", "w~")
     assert [(e.id, e.src, e.rng) for e in app.graph.edges] == [
         ("a~1", "v~1", "v~1"),
@@ -126,7 +118,7 @@ def test_insplit_trivial_is_isomorphic(fork):
     trivial = SplitSpec(
         "insplit", {v: ((tuple(e.id for e in g.in_edges(v)),)) for v in g.vertices if g.in_edges(v)}
     )
-    app = insplit_apply(g, trivial)
+    app = split_apply(g, trivial)
     assert is_isomorphic(g, app.graph) is not None
 
 
@@ -137,21 +129,19 @@ def test_insplit_single_edge_fiber_split_is_trivial(fork):
         "insplit",
         {"x": (("e",),), "y": (("f",),), "z": (("g",),)},
     )
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert is_isomorphic(g, app.graph) is not None
 
 
 def test_insplit_invalid_spec_raises(loop_feed):
     g, _, _ = loop_feed
     with pytest.raises(SplitSpecError, match="invalid split spec"):
-        insplit_apply(g, SplitSpec("insplit", {"v": (("a",),)}))
-    with pytest.raises(GraphError, match="expected an insplit"):
-        insplit_apply(g, SplitSpec("outsplit", {"v": (("a",),)}))
+        split_apply(g, SplitSpec("insplit", {"v": (("a",),)}))
 
 
 def test_insplit_witness_loop_feed(loop_feed):
     g, _, spec = loop_feed
-    bundle = insplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     assert bundle.witness.e3.vertices == ("v", "w", "v~1", "v~2", "w~")
     blue = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e21}
     red = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e12}
@@ -165,7 +155,7 @@ def test_insplit_witness_trivial(fork):
     trivial = SplitSpec(
         "insplit", {v: ((tuple(e.id for e in g.in_edges(v)),)) for v in g.vertices if g.in_edges(v)}
     )
-    bundle = insplit_witness(g, trivial)
+    bundle = split_witness(g, trivial)
     assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
 
 
@@ -174,7 +164,7 @@ def test_insplit_witness_source_condition_exercised(fork):
     # intermediate graph and satisfies the source condition
     g = fork[0]
     spec = SplitSpec("insplit", {"x": (("e",),), "y": (("f",),), "z": (("g",),)})
-    bundle = insplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     e3 = bundle.witness.e3
     sources = [v for v in e3.vertices if not e3.in_edges(v)]
     assert sources == ["w~"]
@@ -184,20 +174,20 @@ def test_insplit_witness_source_condition_exercised(fork):
 
 def test_insplit_witness_implied_graph_matches(loop_feed):
     g, _, spec = loop_feed
-    bundle = insplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     assert bundle.witness.implied_graph1() == g
     assert bundle.witness.implied_graph2() == bundle.e2
 
 
 def test_insplit_transport(loop_feed):
     g, f, spec = loop_feed
-    g2, _ = _inherited_weights(f, insplit_witness(g, spec))
+    g2, _ = _inherited_weights(f, split_witness(g, spec))
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {"a~1": 1, "a~2": 1, "b~": 2}
 
 
 def test_insplit_transport_zero(loop_feed):
     g, _, spec = loop_feed
-    g2, h = _inherited_weights(EdgeFunction.zero(g), insplit_witness(g, spec))
+    g2, h = _inherited_weights(EdgeFunction.zero(g), split_witness(g, spec))
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
     assert all(h(eid) == 0 for eid in h.graph.edge_ids())
 
@@ -205,16 +195,16 @@ def test_insplit_transport_zero(loop_feed):
 def test_split_transport_agrees_with_weights_route():
     """The direct weight rule against the witness route on seeded graphs:
     the (g2, h) that ``_inherited_weights`` gives the CLI must equal what
-    ``weights_from_f_E21`` / ``weights_from_f_E12`` push forward (h on
+    ``push_forward`` gives through the e21 / e12 class (h on
     phi2's class, g2 carried along theta2)."""
     rng = random.Random(61)
     for _ in range(60):
         g = random_graph(rng, max_vertices=5, max_edges=10)
         f = random_edge_function(rng, g)
-        ispec, ospec = random_insplit_spec(rng, g, 3), random_outsplit_spec(rng, g, 3)
-        ibundle, obundle = insplit_witness(g, ispec), outsplit_witness(g, ospec)
-        ih, ig2 = weights_from_f_E21(ibundle.witness, f)
-        oh, og2 = weights_from_f_E12(obundle.witness, f)
+        ispec, ospec = random_split_spec(rng, g, "insplit", 3), random_split_spec(rng, g, "outsplit", 3)
+        ibundle, obundle = split_witness(g, ispec), split_witness(g, ospec)
+        ih, ig2 = push_forward(ibundle.witness, f, "e21")
+        oh, og2 = push_forward(obundle.witness, f, "e12")
         assert _inherited_weights(f, ibundle) == (ig2, ih)
         assert _inherited_weights(f, obundle) == (og2, oh)
 
@@ -224,10 +214,10 @@ def test_split_transport_agrees_with_weights_route():
 
 def test_reverse_transport_obstruction(funnel):
     g, spec = funnel
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     weights = {eid: 0 for eid in app.graph.edge_ids()}
     weights["e~1"], weights["e~2"] = 0, 1
-    result = insplit_reverse_transport(g, spec, EdgeFunction(app.graph, weights))
+    result = reverse_transport(g, spec, EdgeFunction(app.graph, weights))
     assert not result.found
     assert result.obstructions[0][0] == "e"
     assert result.obstructions[0][1] == {"e~1": 0, "e~2": 1}
@@ -236,8 +226,8 @@ def test_reverse_transport_obstruction(funnel):
 def test_reverse_transport_round_trip(funnel):
     g, spec = funnel
     f = EdgeFunction(g, {"wy": 5, "xy": -2, "e": 7})
-    g2, _ = _inherited_weights(f, insplit_witness(g, spec))
-    result = insplit_reverse_transport(g, spec, g2)
+    g2, _ = _inherited_weights(f, split_witness(g, spec))
+    result = reverse_transport(g, spec, g2)
     assert result.found
     assert {e: result.f(e) for e in g.edge_ids()} == {"wy": 5, "xy": -2, "e": 7}
 
@@ -249,13 +239,34 @@ def test_reverse_transport_random_copy_constant():
         g = random_graph(rng, max_vertices=4, max_edges=6)
         if not g.edges:
             continue
-        spec = random_insplit_spec(rng, g, 3)
+        spec = random_split_spec(rng, g, "insplit", 3)
         f = random_edge_function(rng, g)
-        g2, _ = _inherited_weights(f, insplit_witness(g, spec))
-        result = insplit_reverse_transport(g, spec, g2)
+        g2, _ = _inherited_weights(f, split_witness(g, spec))
+        result = reverse_transport(g, spec, g2)
         assert result.found
         assert {e: result.f(e) for e in g.edge_ids()} == {e: f(e) for e in g.edge_ids()}
         done += 1
+
+
+def test_reverse_transport_outsplit_round_trip(fan):
+    g, _, spec = fan
+    app = split_apply(g, spec)
+    equal = {"a^1": 1, "b^1": 2, "b^2": 2, "c^": 3, "d^": 4}
+    result = reverse_transport(g, spec, EdgeFunction(app.graph, equal))
+    assert result.found
+    assert {e: result.f(e) for e in g.edge_ids()} == {"a": 1, "b": 2, "c": 3, "d": 4}
+    _, back = push_forward(split_witness(g, spec).witness, result.f, "e12")
+    assert dict(back.weights) == equal
+
+
+def test_reverse_transport_outsplit_obstructions(two_loops):
+    g = two_loops[0]
+    spec = SplitSpec("outsplit", {"v": (("p",), ("q",))})
+    app = split_apply(g, spec)
+    weights = {"p^1": 0, "p^2": 1, "q^1": 5, "q^2": -5}
+    result = reverse_transport(g, spec, EdgeFunction(app.graph, weights))
+    assert not result.found
+    assert result.obstructions == [("p", {"p^1": 0, "p^2": 1}), ("q", {"q^1": 5, "q^2": -5})]
 
 
 # -- outsplit -----------------------------------------------------------------------
@@ -263,7 +274,7 @@ def test_reverse_transport_random_copy_constant():
 
 def test_outsplit_fan_exact(fan):
     g, _, spec = fan
-    app = outsplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert app.graph.vertices == ("w^1", "x^1", "x^2", "y^", "z^")
     assert [(e.id, e.src, e.rng) for e in app.graph.edges] == [
         ("a^1", "w^1", "w^1"),
@@ -284,7 +295,7 @@ def test_outsplit_trivial_isomorphic(fan):
             if g.out_edges(v) and g.in_edges(v)
         },
     )
-    app = outsplit_apply(g, trivial)
+    app = split_apply(g, trivial)
     assert is_isomorphic(g, app.graph) is not None
 
 
@@ -301,14 +312,14 @@ def test_outsplit_trivial_random_round_trip():
                 if g.out_edges(v) and g.in_edges(v)
             },
         )
-        app = outsplit_apply(g, trivial)
+        app = split_apply(g, trivial)
         assert is_isomorphic(g, app.graph) is not None
         done += 1
 
 
 def test_outsplit_witness_fan_matches_figure(fan):
     g, _, spec = fan
-    bundle = outsplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     blue = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e21}
     red = {(e.src, e.rng) for e in bundle.witness.e3.edges if e.id in bundle.witness.e12}
     assert blue == {("w", "w^1"), ("x", "x^1"), ("x", "x^2"), ("y", "y^"), ("z", "z^")}
@@ -326,13 +337,13 @@ def test_outsplit_witness_trivial(fan):
             if g.out_edges(v) and g.in_edges(v)
         },
     )
-    bundle = outsplit_witness(g, trivial)
+    bundle = split_witness(g, trivial)
     assert verify_sse_witness(g, bundle.e2, bundle.witness).passed
 
 
 def test_outsplit_transport_fan(fan):
     g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     g2, h = _inherited_weights(f, bundle)
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
         "a^1": 1,
@@ -348,7 +359,7 @@ def test_outsplit_transport_fan(fan):
 
 def test_outsplit_transport_zero(fan):
     g, _, spec = fan
-    g2, h = _inherited_weights(EdgeFunction.zero(g), outsplit_witness(g, spec))
+    g2, h = _inherited_weights(EdgeFunction.zero(g), split_witness(g, spec))
     assert all(g2(e) == 0 for e in g2.graph.edge_ids())
     assert all(h(e) == 0 for e in h.graph.edge_ids())
 
@@ -372,10 +383,10 @@ def test_split_counts_random():
         g = random_graph(rng, max_vertices=6, max_edges=12)
         if not g.edges:
             continue
-        ispec = random_insplit_spec(rng, g, 3)
-        _count_check(g, ispec, insplit_apply(g, ispec))
-        ospec = random_outsplit_spec(rng, g, 3)
-        _count_check(g, ospec, outsplit_apply(g, ospec))
+        ispec = random_split_spec(rng, g, "insplit", 3)
+        _count_check(g, ispec, split_apply(g, ispec))
+        ospec = random_split_spec(rng, g, "outsplit", 3)
+        _count_check(g, ospec, split_apply(g, ospec))
         done += 1
 
 
@@ -388,8 +399,8 @@ def test_split_trace_invariance():
             continue
         a = adjacency_matrix(g)
         for build in (
-            lambda: insplit_apply(g, random_insplit_spec(rng, g, 3)),
-            lambda: outsplit_apply(g, random_outsplit_spec(rng, g, 3)),
+            lambda: split_apply(g, random_split_spec(rng, g, "insplit", 3)),
+            lambda: split_apply(g, random_split_spec(rng, g, "outsplit", 3)),
         ):
             b = adjacency_matrix(build().graph)
             for n in range(1, 7):
@@ -404,8 +415,8 @@ def _check_split_witnesses(rng, g) -> set[str]:
     the split graphs' unindexed vertex copies."""
     unindexed = set()
     for insplit, bundle in (
-        (True, insplit_witness(g, random_insplit_spec(rng, g, 3))),
-        (False, outsplit_witness(g, random_outsplit_spec(rng, g, 3))),
+        (True, split_witness(g, random_split_spec(rng, g, "insplit", 3))),
+        (False, split_witness(g, random_split_spec(rng, g, "outsplit", 3))),
     ):
         w = bundle.witness
         assert verify_sse_witness(g, bundle.e2, w).passed
@@ -574,7 +585,7 @@ def test_id_collision_handling():
         ("v", "v~1"), (Edge("a", "v", "v"), Edge("b", "v~1", "v"))
     )
     spec = SplitSpec("insplit", {"v": (("a",), ("b",))})
-    app = insplit_apply(g, spec)
+    app = split_apply(g, spec)
     assert len(set(app.graph.vertices)) == len(app.graph.vertices)
-    bundle = insplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     assert verify_sse_witness(g, bundle.e2, bundle.witness).passed

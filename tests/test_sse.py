@@ -28,11 +28,7 @@ from ssekit import (
     witness_to_json_obj,
 )
 from ssekit import search
-from ssekit.splits import (
-    _build_split,
-    insplit_apply,
-    outsplit_apply,
-)
+from ssekit.splits import _build_split, split_apply
 from ssekit.sse import _least_solution
 from labelled_splits import enumerate_split_specs, split_vertex_count
 
@@ -516,8 +512,8 @@ def test_witness_from_random_factorizations():
 
 
 def test_find_theta_on_random_split_witnesses():
-    from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
-    from ssekit.splits import insplit_witness, outsplit_witness
+    from ssekit.corpus import random_graph, random_split_spec
+    from ssekit.splits import split_witness
 
     rng = random.Random(83)
     small = [random_graph(rng, max_vertices=5, max_edges=8) for _ in range(60)]
@@ -528,10 +524,7 @@ def test_find_theta_on_random_split_witnesses():
     ]
     graphs = [g for g in small if g.edges][:40] + large
     for i, g in enumerate(graphs):
-        if i % 2:
-            bundle = outsplit_witness(g, random_outsplit_spec(rng, g, 3))
-        else:
-            bundle = insplit_witness(g, random_insplit_spec(rng, g, 3))
+        bundle = split_witness(g, random_split_spec(rng, g, "outsplit" if i % 2 else "insplit", 3))
         w = bundle.witness
         assert verify_sse_witness(g, bundle.e2, w).passed
         assert len(paths_between(w.e3, 2, w.side1, w.side1)) == len(g.edges)
@@ -551,7 +544,7 @@ def test_find_theta_on_random_split_witnesses():
 
 def test_chain_search_one_step_insplit(loop_feed):
     g, _, spec = loop_feed
-    e2 = insplit_apply(g, spec).graph
+    e2 = split_apply(g, spec).graph
     result = sse_chain_search(g, e2, max_steps=1)
     assert result.status == "found"
     assert result.total_steps == 1
@@ -577,34 +570,38 @@ def test_chain_search_invariant_pruned():
     assert result.mismatch_period == 1
 
 
+def test_chain_search_compares_traces_up_to_the_vertex_count():
+    # tr(A^n) = 2^n + 5 [5 | n] against 2^n: the profiles first differ at
+    # n = 5, so a comparison that stopped at period 4 would miss them.
+    vertices = ("x",) + tuple(f"u{i}" for i in range(5))
+    loops = (Edge("p", "x", "x"), Edge("q", "x", "x"))
+    cycle = tuple(Edge(f"c{i}", f"u{i}", f"u{(i + 1) % 5}") for i in range(5))
+    e1 = DirectedMultigraph(vertices, loops + cycle)
+    e2 = DirectedMultigraph(vertices, loops)
+    result = sse_chain_search(e1, e2, max_steps=1)
+    assert (result.status, result.reason, result.mismatch_period) == ("absent", "invariant-mismatch", 5)
+
+
 def test_chain_search_replays(two_loops):
     e1 = two_loops[0]
     from ssekit import SplitSpec
 
-    mid = insplit_apply(e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
+    mid = split_apply(e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
     far_spec = SplitSpec(
         "outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)}
     )
-    far = outsplit_apply(mid, far_spec).graph
+    far = split_apply(mid, far_spec).graph
     result = sse_chain_search(e1, far)
     assert result.status == "found"
     assert result.total_steps == 2
     current = e1
     for step in result.steps_from_e1:
-        app = (
-            insplit_apply(current, step.spec)
-            if step.move == "insplit"
-            else outsplit_apply(current, step.spec)
-        )
+        app = split_apply(current, step.spec)
         assert app.graph == step.graph
         current = app.graph
     current2 = far
     for step in result.steps_from_e2:
-        app = (
-            insplit_apply(current2, step.spec)
-            if step.move == "insplit"
-            else outsplit_apply(current2, step.spec)
-        )
+        app = split_apply(current2, step.spec)
         assert app.graph == step.graph
         current2 = app.graph
     assert canonical_key(current) == canonical_key(current2)
@@ -655,8 +652,8 @@ def _matrices_from_witness(e1, e2, w):
 
 
 def test_every_witness_induces_a_matrix_factorization(fork, two_loops):
-    from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
-    from ssekit.splits import insplit_witness, outsplit_witness
+    from ssekit.corpus import random_graph, random_split_spec
+    from ssekit.splits import split_witness
 
     for e1, e2, _, w in (fork[:4], (two_loops[0], two_loops[1], two_loops[2], two_loops[3])):
         assert matrix_essse_verify(_matrices_from_witness(e1, e2, w))
@@ -667,11 +664,7 @@ def test_every_witness_induces_a_matrix_factorization(fork, two_loops):
         g = random_graph(rng, max_vertices=5, max_edges=9)
         if not g.edges:
             continue
-        bundle = (
-            insplit_witness(g, random_insplit_spec(rng, g, 3))
-            if done % 2
-            else outsplit_witness(g, random_outsplit_spec(rng, g, 3))
-        )
+        bundle = split_witness(g, random_split_spec(rng, g, "insplit" if done % 2 else "outsplit", 3))
         assert matrix_essse_verify(_matrices_from_witness(g, bundle.e2, bundle.witness))
         done += 1
 
@@ -714,7 +707,7 @@ def test_chain_search_deterministic_repeat(two_loops, loop_feed):
     e1 = two_loops[0]
     from ssekit import SplitSpec
 
-    mid = insplit_apply(e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
+    mid = split_apply(e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
     runs = [sse_chain_search(e1, mid, max_steps=2) for _ in range(2)]
     assert runs[0].to_json_obj() == runs[1].to_json_obj()
 
@@ -770,7 +763,7 @@ class _UnboundedEnumerationSide:
 
 
 def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
-    from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
+    from ssekit.corpus import random_graph, random_split_spec
 
     rng = random.Random(404)
     edgeless = [DirectedMultigraph(("u", "v"), ()), DirectedMultigraph(("u",), ())]
@@ -779,8 +772,8 @@ def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
         g = random_graph(rng, max_vertices=4, max_edges=5)
         if not g.edges:
             continue
-        split = random_insplit_spec if len(pairs) % 2 else random_outsplit_spec
-        h = (insplit_apply if len(pairs) % 2 else outsplit_apply)(g, split(rng, g, 2)).graph
+        kind = "insplit" if len(pairs) % 2 else "outsplit"
+        h = split_apply(g, random_split_spec(rng, g, kind, 2)).graph
         pairs.append((g, h) if len(pairs) % 3 else (h, g))
     outcomes = []
     for e1, e2 in pairs:

@@ -10,13 +10,12 @@ from ssekit import (
     TransportError,
     check_weight_preserving,
     lift_edge_function,
+    push_forward,
     transport_g_from_h,
-    weights_from_f_E12,
-    weights_from_f_E21,
     witness_from_essse,
 )
-from ssekit.corpus import random_graph, random_insplit_spec, random_outsplit_spec
-from ssekit.splits import insplit_witness, outsplit_witness
+from ssekit.corpus import random_graph, random_split_spec
+from ssekit.splits import split_witness
 
 
 # -- check_weight_preserving ---------------------------------------------------
@@ -53,8 +52,8 @@ def test_triple_validates_graphs(two_loops, fan):
 
 def test_check_fan_outsplit_independent_sums(fan):
     g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, f)
+    bundle = split_witness(g, spec)
+    h, g2 = push_forward(bundle.witness, f, "e12")
     assert check_weight_preserving(bundle.witness, h, f=f, g=g2) == (True, True)
     # independent recomputation of every path sum
     w = bundle.witness
@@ -83,7 +82,7 @@ def test_transport_zero(two_loops):
 
 def test_transport_fan_witness(fan):
     g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     h = EdgeFunction(
         bundle.witness.e3,
         {eid: (f(eid.split(":", 1)[1]) if eid.startswith("e12:") else 0) for eid in bundle.witness.e3.edge_ids()},
@@ -105,8 +104,8 @@ def test_broken_side2_witness_rejected_with_its_message(two_loops, broken_two_lo
     for name, broken, message in broken_two_loops:
         calls = (
             lambda: transport_g_from_h(broken, h),
-            lambda: weights_from_f_E12(broken, f),
-            lambda: weights_from_f_E21(broken, f),
+            lambda: push_forward(broken, f, "e12"),
+            lambda: push_forward(broken, f, "e21"),
         )
         for call in calls:
             with pytest.raises(GraphError) as exc:
@@ -119,8 +118,8 @@ def test_broken_side2_witness_rejected_with_its_message(two_loops, broken_two_lo
 
 def test_weights_from_f_e12_fan(fan):
     g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, f)
+    bundle = split_witness(g, spec)
+    h, g2 = push_forward(bundle.witness, f, "e12")
     reds = {eid: h(eid) for eid in bundle.witness.e12}
     blues = {eid: h(eid) for eid in bundle.witness.e21}
     assert sorted(reds.values()) == [1, 2, 3, 4]
@@ -136,8 +135,8 @@ def test_weights_from_f_e12_fan(fan):
 
 def test_weights_from_f_e21_loop_feed(loop_feed):
     g, f, spec = loop_feed
-    bundle = insplit_witness(g, spec)
-    h, g2 = weights_from_f_E21(bundle.witness, f)
+    bundle = split_witness(g, spec)
+    h, g2 = push_forward(bundle.witness, f, "e21")
     blues = {eid: h(eid) for eid in bundle.witness.e21}
     reds = {eid: h(eid) for eid in bundle.witness.e12}
     assert sorted(blues.values()) == [1, 2]
@@ -147,18 +146,17 @@ def test_weights_from_f_e21_loop_feed(loop_feed):
 
 def test_weights_zero_function(fan):
     g, _, spec = fan
-    bundle = outsplit_witness(g, spec)
-    h, g2 = weights_from_f_E12(bundle.witness, EdgeFunction.zero(g))
+    bundle = split_witness(g, spec)
+    h, g2 = push_forward(bundle.witness, EdgeFunction.zero(g), "e12")
     assert all(h(eid) == 0 for eid in h.graph.edge_ids())
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
 
 
 def test_weights_outputs_always_weight_preserving(fan, loop_feed):
-    for fixture, build, which in ((fan, outsplit_witness, weights_from_f_E12),
-                                  (loop_feed, insplit_witness, weights_from_f_E21)):
+    for fixture, side in ((fan, "e12"), (loop_feed, "e21")):
         g, f, spec = fixture
-        bundle = build(g, spec)
-        h, g2 = which(bundle.witness, f)
+        bundle = split_witness(g, spec)
+        h, g2 = push_forward(bundle.witness, f, side)
         assert check_weight_preserving(bundle.witness, h, f=f, g=g2) == (True, True)
 
 
@@ -170,16 +168,16 @@ def test_phi_must_be_bijection():
     w = bundle.witness
     f = EdgeFunction(bundle.e1, dict(zip(bundle.e1.edge_ids(), (3, -5))))
     with pytest.raises(TransportError, match="bijection onto the e21 class"):
-        weights_from_f_E21(w, f)
-    h, g = weights_from_f_E12(w, f)
+        push_forward(w, f, "e21")
+    h, g = push_forward(w, f, "e12")
     assert check_weight_preserving(w, h, f=f, g=g) == (True, True)
 
 
 def test_phi_wrong_class_rejected(loop_feed):
     g, f, spec = loop_feed
-    bundle = insplit_witness(g, spec)
+    bundle = split_witness(g, spec)
     with pytest.raises(TransportError, match="bijection onto the e12 class"):
-        weights_from_f_E12(bundle.witness, f)  # theta1's first edges miss e12:w~
+        push_forward(bundle.witness, f, "e12")  # theta1's first edges miss e12:w~
 
 
 # -- lifting -----------------------------------------------------------------------
@@ -216,8 +214,8 @@ def test_lift_zero(two_loops):
 
 def test_lift_with_f_constraints(fan):
     g, f, spec = fan
-    bundle = outsplit_witness(g, spec)
-    _, g2 = weights_from_f_E12(bundle.witness, f)
+    bundle = split_witness(g, spec)
+    _, g2 = push_forward(bundle.witness, f, "e12")
     outcome = lift_edge_function(bundle.witness, g2, f)
     assert outcome.status == "feasible"
     for eq in outcome.equations:
@@ -309,9 +307,9 @@ def test_lift_agrees_with_brute_force_oracle():
         kind = rng.choice(("insplit", "outsplit"))
         try:
             if kind == "insplit":
-                bundle = insplit_witness(g, random_insplit_spec(rng, g, 2))
+                bundle = split_witness(g, random_split_spec(rng, g, "insplit", 2))
             else:
-                bundle = outsplit_witness(g, random_outsplit_spec(rng, g, 2))
+                bundle = split_witness(g, random_split_spec(rng, g, "outsplit", 2))
         except GraphError:
             continue
         if len(bundle.witness.e3.edges) > 8:
