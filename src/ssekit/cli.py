@@ -92,17 +92,22 @@ def _load_matrix(path: str) -> NonnegIntMatrix:
 def _load_weight_map(path: str, graph: DirectedMultigraph) -> EdgeFunction:
     """A weight file is either a graph file with weights on every edge or a
     bare {"weights": {edge-id: int}} map.  Either way the weights are bound
-    to the expected graph by edge id, so edge order in the file is free."""
+    to the expected graph by edge id, so edge order in the file is free; a
+    map that does not fit the graph is an error naming the file."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "weights" in obj and "edges" not in obj:
         wmap = obj["weights"]
         if not isinstance(wmap, dict):
             raise GraphFormatError(f'{path}: "weights" must be an object')
+    else:
+        _, fn = _parsed(path, graph_from_json_obj, obj)
+        if fn is None:
+            raise GraphFormatError(f"{path}: no weights present")
+        wmap = fn.weights
+    try:
         return EdgeFunction(graph, wmap)
-    _, fn = _parsed(path, graph_from_json_obj, obj)
-    if fn is None:
-        raise GraphFormatError(f"{path}: no weights present")
-    return EdgeFunction(graph, fn.weights)
+    except GraphError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _emit(obj: dict) -> None:

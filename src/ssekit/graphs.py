@@ -19,7 +19,6 @@ every function here is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -39,20 +38,60 @@ class Edge(NamedTuple):
     rng: str
 
 
-@dataclass(frozen=True)
-class DirectedMultigraph:
+_store = object.__setattr__  # writes a slot past the frozen ``__setattr__``
+
+
+class _Value:
+    """An immutable value over ``__slots__``: compared, hashed, printed and
+    copied by the fields ``_fields`` (the constructor's arguments, in
+    order).  ``__init__`` writes each slot with ``_store``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DirectedMultigraph(_Value):
     """A finite directed multigraph: vertex ids, edge records, and s/r maps.
 
     Ids are opaque strings, unique within their kind.
     """
 
+    __slots__ = ("vertices", "edges", "_by_id", "_in", "_out")
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    _by_id: dict[str, Edge]
+    _in: dict[str, tuple[Edge, ...]]
+    _out: dict[str, tuple[Edge, ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+        _store(self, "vertices", vertices)
+        _store(self, "edges", edges)
         # Exact-type and bulk checks first; only a graph that fails them is
         # walked record by record, so that the first fault is the one named.
-        vertices, edges = self.vertices, self.edges
         if not (set(map(type, vertices)) <= {str} and len(set(vertices)) == len(vertices)):
             self._check_records()
         by_id = {e.id: e for e in edges}
@@ -66,9 +105,9 @@ class DirectedMultigraph:
             self._check_records()
         if len(by_id) != len(edges):
             self._check_records()
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_in", {v: tuple(es) for v, es in incoming.items()})
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
+        _store(self, "_by_id", by_id)
+        _store(self, "_in", {v: tuple(es) for v, es in incoming.items()})
+        _store(self, "_out", {v: tuple(es) for v, es in outgoing.items()})
 
     def _check_records(self) -> None:
         """Raise the error for the first bad vertex or edge record, if any."""
@@ -93,32 +132,32 @@ class DirectedMultigraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._by_id[edge_id]  # type: ignore[attr-defined]
+            return self._by_id[edge_id]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
     def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id  # type: ignore[attr-defined]
+        return edge_id in self._by_id
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._in  # type: ignore[attr-defined]
+        return v in self._in
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         """r^{-1}(v): edges received by v, in edge order."""
         try:
-            return self._in[v]  # type: ignore[attr-defined]
+            return self._in[v]
         except KeyError:
             raise GraphError(f"unknown vertex id {v!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """s^{-1}(v): edges emitted by v, in edge order."""
         try:
-            return self._out[v]  # type: ignore[attr-defined]
+            return self._out[v]
         except KeyError:
             raise GraphError(f"unknown vertex id {v!r}") from None
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(self._by_id)  # type: ignore[attr-defined]
+        return tuple(self._by_id)
 
 
 def _chain(g: DirectedMultigraph, edge_ids: Sequence[str]) -> tuple[str, str]:
@@ -141,16 +180,18 @@ def _chain(g: DirectedMultigraph, edge_ids: Sequence[str]) -> tuple[str, str]:
     return prev.src, first.rng  # type: ignore[union-attr]
 
 
-@dataclass(frozen=True)
-class EdgeFunction:
+class EdgeFunction(_Value):
     """A total integer weight map on a graph's edges, additive on paths."""
 
+    __slots__ = _fields = ("graph", "weights")
     graph: DirectedMultigraph
     weights: Mapping[str, int]
 
-    def __post_init__(self) -> None:
-        domain = set(self.weights)
-        edge_set = self.graph._by_id.keys()  # type: ignore[attr-defined]
+    def __init__(self, graph: DirectedMultigraph, weights: Mapping[str, int]) -> None:
+        _store(self, "graph", graph)
+        _store(self, "weights", weights)
+        domain = set(weights)
+        edge_set = graph._by_id.keys()
         if domain != edge_set:
             missing = edge_set - domain
             extra = domain - edge_set
@@ -158,9 +199,9 @@ class EdgeFunction:
                 raise GraphError(f"weight map misses edges: {sorted(missing)}")
             if extra:
                 raise GraphError(f"weight map has unknown edges: {sorted(extra)}")
-        if set(map(type, self.weights.values())) <= {int}:
+        if set(map(type, weights.values())) <= {int}:
             return
-        for eid, wt in self.weights.items():
+        for eid, wt in weights.items():
             if not isinstance(wt, int) or isinstance(wt, bool):
                 raise GraphError(f"weight of edge {eid!r} is not an integer: {wt!r}")
 
@@ -175,24 +216,25 @@ class EdgeFunction:
         return cls(graph, {eid: 0 for eid in graph.edge_ids()})
 
 
-@dataclass(frozen=True)
-class NonnegIntMatrix:
+class NonnegIntMatrix(_Value):
     """An integer matrix with nonnegative entries, indexed by explicit id lists."""
 
+    __slots__ = _fields = ("rows", "cols", "entries")
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
+    def __init__(self, rows: tuple[str, ...], cols: tuple[str, ...], entries: tuple[tuple[int, ...], ...]) -> None:
+        _store(self, "rows", rows)
+        _store(self, "cols", cols)
+        _store(self, "entries", entries)
+        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise GraphError("matrix index lists must not repeat ids")
-        if len(self.entries) != len(self.rows):
-            raise GraphError(
-                f"matrix has {len(self.entries)} entry rows for {len(self.rows)} row ids"
-            )
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.cols):
-                raise GraphError(f"entry row {i} has {len(row)} entries for {len(self.cols)} columns")
+        if len(entries) != len(rows):
+            raise GraphError(f"matrix has {len(entries)} entry rows for {len(rows)} row ids")
+        for i, row in enumerate(entries):
+            if len(row) != len(cols):
+                raise GraphError(f"entry row {i} has {len(row)} entries for {len(cols)} columns")
             if set(map(type, row)) <= {int} and min(row, default=0) >= 0:
                 continue
             for j, x in enumerate(row):
@@ -497,7 +539,7 @@ def paths_between(
         raise GraphError("path length must be at least 1")
     frm = set(g.vertices if from_vertices is None else from_vertices)
     to = set(g.vertices if to_vertices is None else to_vertices)
-    inn = g._in  # type: ignore[attr-defined]
+    inn = g._in
     unknown = (frm | to).difference(inn)
     if unknown:
         raise GraphError(f"unknown vertex id {min(unknown)!r}")
@@ -529,8 +571,7 @@ def graph_from_matrix(a: NonnegIntMatrix) -> DirectedMultigraph:
 # -- isomorphism ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphIsomorphism:
+class GraphIsomorphism(NamedTuple):
     vertex_map: Mapping[str, str]
     edge_map: Mapping[str, str]
 

@@ -10,13 +10,12 @@ ceil(n/2) - 1 sparse matrix products (``NonnegIntMatrix.power_traces``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import DirectedMultigraph, GraphError, adjacency_matrix
 
 
-@dataclass(frozen=True)
-class PeriodicPointProfile:
+class PeriodicPointProfile(NamedTuple):
     """traces[i] = trace(A^(i+1)) for i = 0 .. n_max-1."""
 
     n_max: int
@@ -26,8 +25,7 @@ class PeriodicPointProfile:
         return {"n_max": self.n_max, "traces": list(self.traces)}
 
 
-@dataclass(frozen=True)
-class InvariantFilterResult:
+class InvariantFilterResult(NamedTuple):
     passed: bool
     first_mismatch: int | None
     profile1: PeriodicPointProfile

@@ -22,7 +22,7 @@ over labelled specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -44,8 +44,7 @@ from .splits import (
 )
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     move: str  # "insplit" | "outsplit"
     spec: SplitSpec  # of the predecessor graph
     graph: DirectedMultigraph
@@ -58,8 +57,7 @@ class ChainStep:
         }
 
 
-@dataclass
-class ChainSearchResult:
+class ChainSearchResult(NamedTuple):
     """Outcome of the bounded bidirectional split search.
 
     ``found``: both legs of split moves, applied forward from their endpoint,
@@ -69,8 +67,8 @@ class ChainSearchResult:
     """
 
     status: str  # "found" | "absent"
-    steps_from_e1: list[ChainStep] = field(default_factory=list)
-    steps_from_e2: list[ChainStep] = field(default_factory=list)
+    steps_from_e1: Sequence[ChainStep] = ()
+    steps_from_e2: Sequence[ChainStep] = ()
     reason: str | None = None
     mismatch_period: int | None = None
     truncated_by_vertex_bound: bool = False
@@ -93,13 +91,16 @@ class ChainSearchResult:
         return obj
 
 
-@dataclass
 class _State:
+    __slots__ = ("counts", "parent", "move", "parts", "ends")
     counts: tuple[tuple[int, ...], ...]  # count matrix, in the vertex order of the graph leg() builds
     parent: tuple | None
     move: str | None
     parts: dict[int, Classes] | None  # class count vectors per partitioned vertex
-    ends: list[tuple[int, int]] | None = None  # edges as (src, rng) positions; set on expansion
+    ends: list[tuple[int, int]] | None  # edges as (src, rng) positions; set on expansion
+
+    def __init__(self, counts, parent, move, parts, ends=None) -> None:
+        self.counts, self.parent, self.move, self.parts, self.ends = counts, parent, move, parts, ends
 
 
 class _SearchSide:

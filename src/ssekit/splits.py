@@ -27,8 +27,7 @@ Symbolic Dynamics and Coding*, §2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -36,22 +35,26 @@ from .graphs import (
     EdgeFunction,
     GraphError,
     GraphFormatError,
+    _store,
+    _Value,
     parse_json,
 )
 from .sse import SseWitness, _fresh_ids
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(_Value):
     """Per-vertex ordered partition of incoming (insplit) or outgoing
     (outsplit) edges; vertices absent from ``parts`` have m(v) = 0."""
 
+    __slots__ = _fields = ("kind", "parts")
     kind: str
     parts: Mapping[str, tuple[tuple[str, ...], ...]]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("insplit", "outsplit"):
-            raise GraphError(f'split kind must be "insplit" or "outsplit", not {self.kind!r}')
+    def __init__(self, kind: str, parts: Mapping[str, tuple[tuple[str, ...], ...]]) -> None:
+        if kind not in ("insplit", "outsplit"):
+            raise GraphError(f'split kind must be "insplit" or "outsplit", not {kind!r}')
+        _store(self, "kind", kind)
+        _store(self, "parts", parts)
 
     def m(self, v: str) -> int:
         return len(self.parts.get(v, ()))
@@ -95,8 +98,7 @@ def parse_split_spec(text: str) -> SplitSpec:
     return SplitSpec.from_json_obj(parse_json(text))
 
 
-@dataclass
-class SplitReport:
+class SplitReport(NamedTuple):
     valid: bool
     violations: list[str]
 
@@ -159,8 +161,7 @@ def validate_split_spec(g: DirectedMultigraph, spec: SplitSpec) -> SplitReport:
     return SplitReport(not violations, violations)
 
 
-@dataclass(frozen=True)
-class SplitApplication:
+class SplitApplication(NamedTuple):
     graph: DirectedMultigraph
     vertex_origin: Mapping[str, tuple[str, int | None]]
     edge_origin: Mapping[str, tuple[str, int | None]]
@@ -205,8 +206,7 @@ def _build_split(g: DirectedMultigraph, spec: SplitSpec) -> SplitApplication:
     return SplitApplication(graph, vertex_origin, edge_origin)
 
 
-@dataclass(frozen=True)
-class SplitWitnessBundle:
+class SplitWitnessBundle(NamedTuple):
     witness: SseWitness
     phi1: Mapping[str, str]  # split-graph vertices -> witness edges
     phi2: Mapping[str, str]  # original edges -> witness edges
@@ -230,19 +230,20 @@ def split_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
     is phi2(origin of c) with phi1(far copy of c), in that order for an
     insplit."""
     app = split_apply(g, spec)
+    graph, vertex_origin, edge_origin = app
     insplit = spec.kind == "insplit"
     side1 = tuple(g.vertices)
-    vmap2 = _fresh_ids(side1, app.graph.vertices)
+    vmap2 = _fresh_ids(side1, graph.vertices)
     side2 = tuple(vmap2.values())
     cls2, cls1 = ("e21", "e12") if insplit else ("e12", "e21")
     order = 1 if insplit else -1
     # the copy of each original edge's near end, the same for every edge copy
-    near = {app.edge_origin[c.id][0]: c.rng if insplit else c.src for c in app.graph.edges}
-    phi1 = {x: f"{cls1}:{x}" for x in app.graph.vertices}
+    near = {edge_origin[c.id][0]: c.rng if insplit else c.src for c in graph.edges}
+    phi1 = {x: f"{cls1}:{x}" for x in graph.vertices}
     phi2 = {e.id: f"{cls2}:{e.id}" for e in g.edges}
     # (witness edge, its end in g, its end in the split graph)
     ends2 = [(phi2[e.id], e.src if insplit else e.rng, near[e.id]) for e in g.edges]
-    ends1 = [(phi1[x], app.vertex_origin[x][0], x) for x in app.graph.vertices]
+    ends1 = [(phi1[x], vertex_origin[x][0], x) for x in graph.vertices]
     e21, e12 = (ends2, ends1) if insplit else (ends1, ends2)
     edges = [Edge(eta, v, vmap2[x]) for eta, v, x in e21] + [Edge(eta, vmap2[x], v) for eta, v, x in e12]
     witness = SseWitness(
@@ -255,8 +256,8 @@ def split_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
         vmap2,
         {e.id: (phi1[near[e.id]], phi2[e.id])[::order] for e in g.edges},
         {
-            c.id: (phi2[app.edge_origin[c.id][0]], phi1[c.src if insplit else c.rng])[::order]
-            for c in app.graph.edges
+            c.id: (phi2[edge_origin[c.id][0]], phi1[c.src if insplit else c.rng])[::order]
+            for c in graph.edges
         },
     )
     return SplitWitnessBundle(witness, phi1, phi2, app)
@@ -275,10 +276,9 @@ def _inherited_weights(f: EdgeFunction, bundle: SplitWitnessBundle) -> tuple[Edg
     return g2, EdgeFunction(bundle.witness.e3, h)
 
 
-@dataclass
-class ReverseTransportResult:
+class ReverseTransportResult(NamedTuple):
     f: EdgeFunction | None
-    obstructions: list[tuple[str, dict[str, int]]] = field(default_factory=list)
+    obstructions: Sequence[tuple[str, dict[str, int]]] = ()
 
     @property
     def found(self) -> bool:
@@ -303,13 +303,12 @@ def reverse_transport(g: DirectedMultigraph, spec: SplitSpec, g2: EdgeFunction) 
     across the copies of each original edge; otherwise the differing copies
     are the obstruction, reported per edge.
     """
-    app = split_apply(g, spec)
-    if g2.graph != app.graph:
+    graph, _, edge_origin = split_apply(g, spec)
+    if g2.graph != graph:
         raise GraphError(f"g2 is not a weight map on the {spec.kind} of this graph")
     by_origin: dict[str, dict[str, int]] = {}
-    for ne in app.graph.edge_ids():
-        origin = app.edge_origin[ne][0]
-        by_origin.setdefault(origin, {})[ne] = g2(ne)
+    for ne in graph.edge_ids():
+        by_origin.setdefault(edge_origin[ne][0], {})[ne] = g2(ne)
     obstructions = [
         (e.id, by_origin[e.id])
         for e in g.edges

@@ -16,9 +16,8 @@ graph with S counting side1-to-side2 edges and R the reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .graphs import (
     DirectedMultigraph,
@@ -27,6 +26,8 @@ from .graphs import (
     GraphFormatError,
     NonnegIntMatrix,
     _chain,
+    _store,
+    _Value,
     graph_from_json_obj,
     graph_from_matrix,
     graph_to_json_obj,
@@ -48,8 +49,7 @@ class WitnessConstructionError(GraphError):
         self.bundle = bundle
 
 
-@dataclass(frozen=True)
-class SseWitness:
+class SseWitness(NamedTuple):
     """Candidate data for one elementary SSE step.
 
     ``side1``/``side2`` partition e3's vertices; ``e21``/``e12`` its edges
@@ -84,9 +84,9 @@ class SseWitness:
         back = {v3: v for v, v3 in vmap.items()}
         if len(back) != len(vmap):
             raise GraphError("vertex map is not injective; cannot reconstruct the outer graph")
-        edges = []
+        edges, e3 = [], self.e3
         for eid, pair in theta.items():
-            source, range_ = _chain(self.e3, pair)
+            source, range_ = _chain(e3, pair)
             try:
                 edges.append(Edge(eid, back[source], back[range_]))
             except KeyError as exc:
@@ -96,15 +96,14 @@ class SseWitness:
         return DirectedMultigraph(tuple(vmap.keys()), tuple(edges))
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """One flag per defining condition, with human-readable diagnostics."""
 
     vertex_partition_ok: bool
     edge_bipartition_ok: bool
     theta_bijections_ok: bool
     source_condition_ok: bool
-    problems: dict[str, list[str]] = field(default_factory=dict)
+    problems: dict[str, list[str]]
 
     @property
     def passed(self) -> bool:
@@ -184,14 +183,15 @@ def _condition_edge_bipartition(w: SseWitness) -> tuple[bool, list[str]]:
     if uncovered:
         problems.append(f"edges in neither class: {sorted(uncovered)}")
     s1, s2 = set(w.side1), set(w.side2)
+    e3 = w.e3
     for eid in w.e21:
         if eid in all_edges:
-            e = w.e3.edge(eid)
+            e = e3.edge(eid)
             if e.src not in s1 or e.rng not in s2:
                 problems.append(f"e21 edge {eid!r} does not run side1 -> side2")
     for eid in w.e12:
         if eid in all_edges:
-            e = w.e3.edge(eid)
+            e = e3.edge(eid)
             if e.src not in s2 or e.rng not in s1:
                 problems.append(f"e12 edge {eid!r} does not run side2 -> side1")
     return (not problems, problems)
@@ -426,26 +426,24 @@ def parse_witness(text: str) -> SseWitness:
 # -- matrix formulation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EssePair:
+class EssePair(_Value):
     """A, B square and R, S rectangular with A = R*S, S*R = B as the claim."""
 
+    __slots__ = _fields = ("a", "b", "r", "s")
     a: NonnegIntMatrix
     b: NonnegIntMatrix
     r: NonnegIntMatrix
     s: NonnegIntMatrix
 
-    def __post_init__(self) -> None:
-        if not self.a.square or not self.b.square:
+    def __init__(self, a: NonnegIntMatrix, b: NonnegIntMatrix, r: NonnegIntMatrix, s: NonnegIntMatrix) -> None:
+        if not a.square or not b.square:
             raise GraphError("A and B must be square")
-        if self.r.nrows != self.a.nrows or self.r.ncols != self.b.nrows:
-            raise GraphError(
-                f"R must be {self.a.nrows}x{self.b.nrows}, got {self.r.nrows}x{self.r.ncols}"
-            )
-        if self.s.nrows != self.b.nrows or self.s.ncols != self.a.nrows:
-            raise GraphError(
-                f"S must be {self.b.nrows}x{self.a.nrows}, got {self.s.nrows}x{self.s.ncols}"
-            )
+        if r.nrows != a.nrows or r.ncols != b.nrows:
+            raise GraphError(f"R must be {a.nrows}x{b.nrows}, got {r.nrows}x{r.ncols}")
+        if s.nrows != b.nrows or s.ncols != a.nrows:
+            raise GraphError(f"S must be {b.nrows}x{a.nrows}, got {s.nrows}x{s.ncols}")
+        for name, value in zip(self._fields, (a, b, r, s)):
+            _store(self, name, value)
 
 
 def matrix_essse_verify(pair: EssePair) -> bool:
@@ -453,8 +451,7 @@ def matrix_essse_verify(pair: EssePair) -> bool:
     return pair.r.matmul(pair.s).entries == pair.a.entries and pair.s.matmul(pair.r).entries == pair.b.entries
 
 
-@dataclass(frozen=True)
-class EsseWitnessBundle:
+class EsseWitnessBundle(NamedTuple):
     e1: DirectedMultigraph
     e2: DirectedMultigraph
     witness: SseWitness

@@ -15,8 +15,7 @@ exactly, with an inconsistent cycle as the certificate when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import EdgeFunction, GraphError, _chain
 from .sse import SseWitness
@@ -98,16 +97,14 @@ def push_forward(w: SseWitness, f: EdgeFunction, side: str) -> tuple[EdgeFunctio
 # -- lifting a side-2 weighting to the intermediate graph --------------------
 
 
-@dataclass(frozen=True)
-class LiftEquation:
+class LiftEquation(NamedTuple):
     ref: str  # "theta2:<edge>" or "theta1:<edge>"
     first: str  # intermediate edge carrying the path's range
     second: str
     constant: int
 
 
-@dataclass
-class LiftOutcome:
+class LiftOutcome(NamedTuple):
     """Result of solving h(first) + h(second) = constant over the integers.
 
     Feasible: ``solution`` satisfies every equation, with one free parameter
@@ -175,9 +172,9 @@ def lift_edge_function(
         add_equations(f, w.theta1, "theta1")
 
     adjacency: dict[str, list[int]] = {eta: [] for eta in w.e3.edge_ids()}
-    for i, eq in enumerate(equations):
-        adjacency[eq.first].append(i)
-        adjacency[eq.second].append(i)
+    for i, (_, first, second, _) in enumerate(equations):
+        adjacency[first].append(i)
+        adjacency[second].append(i)
 
     values: dict[str, int] = {}
     parent: dict[str, tuple[str, int] | None] = {}
@@ -219,13 +216,13 @@ def lift_edge_function(
         queue = [root]
         for u in queue:  # appended to while iterated: a FIFO read cursor
             for eq_i in adjacency[u]:
-                eq = equations[eq_i]
-                other = eq.second if eq.first == u else eq.first
+                _, first, second, constant = equations[eq_i]
+                other = second if first == u else first
                 if other not in values:
-                    values[other] = eq.constant - values[u]
+                    values[other] = constant - values[u]
                     parent[other] = (u, eq_i)
                     queue.append(other)
-                elif values[u] + values[other] != eq.constant:
+                elif values[u] + values[other] != constant:
                     refs, alt = certificate_for(u, other, eq_i)
                     return LiftOutcome("infeasible", None, refs, alt, 0, equations)
 

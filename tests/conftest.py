@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from ssekit import DirectedMultigraph, Edge, EdgeFunction, SplitSpec, SseWitness
@@ -136,17 +134,17 @@ def broken_two_loops(two_loops):
     return [
         (
             "theta2-does-not-chain",
-            dataclasses.replace(w, theta2=dict(w.theta2, l1=("a", "b"))),
+            w._replace(theta2=dict(w.theta2, l1=("a", "b"))),
             "edges 'a' and 'b' do not chain: s(a)='v' but r(b)='V2'",
         ),
         (
             "theta2-unknown-edge",
-            dataclasses.replace(w, theta2=dict(w.theta2, l1=("a", "zz"))),
+            w._replace(theta2=dict(w.theta2, l1=("a", "zz"))),
             "unknown edge id 'zz'",
         ),
         (
             "vmap2-not-injective",
-            dataclasses.replace(w, vmap2={"V1": "V1", "V2": "V1"}),
+            w._replace(vmap2={"V1": "V1", "V2": "V1"}),
             "vertex map is not injective; cannot reconstruct the outer graph",
         ),
     ]

@@ -206,9 +206,7 @@ def test_sse_verify_pass(run, files):
 
 def test_sse_verify_negative(run, files, fork):
     e1, e2, e3, w = fork
-    import dataclasses
-
-    broken = dataclasses.replace(w, theta1=dict(w.theta1, e=("X1>y", "x>X1")))
+    broken = w._replace(theta1=dict(w.theta1, e=("X1>y", "x>X1")))
     path = _write(files["tmp"] / "broken.witness", json.dumps(witness_to_json_obj(broken)))
     code, out, _ = run("sse-verify", files["fork_e1"], files["fork_e2"], "--witness", path)
     assert code == 1
@@ -415,6 +413,23 @@ def test_matrix_format_error_names_the_file(run, files):
         assert (code, out, err) == (2, "", f'error: {bad}: matrix needs an "entries" key\n'), argv[0]
 
 
+def test_weight_map_error_names_the_file(run, files):
+    """A weight file that does not fit its graph is named in the error, so
+    ``lift --g a --f b`` says which of the two files is bad."""
+    tmp = files["tmp"]
+    good_f = _write(tmp / "f.weights", json.dumps({"weights": {"p": 1, "q": 2}}))
+    empty = _write(tmp / "empty.weights", json.dumps({"weights": {}}))
+    boolean = _write(tmp / "bool.weights", json.dumps({"weights": {"p": True, "q": 1}}))
+    for g, f, bad, message in (
+        (files["tl_good"], empty, empty, "weight map misses edges: ['p', 'q']"),
+        (files["tl_good"], boolean, boolean, "weight of edge 'p' is not an integer: True"),
+        (files["tl_good"], files["tl_good"], files["tl_good"], "weight map misses edges: ['p', 'q']"),
+        (empty, good_f, empty, "weight map misses edges: ['l1', 'l2', 'm12', 'm21']"),
+    ):
+        code, out, err = run("lift", "--witness", files["tl_w"], "--g", g, "--f", f)
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
 def test_matrix_search_found(run, files):
     code, out, _ = run("matrix-search", files["mat_a"], files["mat_b"], "--bound", "1")
     assert code == 0
@@ -583,6 +598,24 @@ def test_library_imports_only_stdlib():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_import_stays_light():
+    """Every CLI call pays for ``import ssekit.cli`` in a fresh process.
+    ``dataclasses`` alone costs about as much as the rest of the import, and
+    it brings ``inspect``, ``dis``, ``ast`` and ``tokenize`` along."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import ssekit.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(pathlib.Path(ssekit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "ssekit.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
 
 
 def test_public_api_is_pinned():

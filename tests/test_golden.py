@@ -103,7 +103,7 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
     g_fan, f_fan, spec_fan = fan
     tl_e1, tl_e2, tl_e3, tl_w, tl_bad, tl_good = two_loops
     g_funnel, spec_funnel = funnel
-    broken = type(w)(**{**vars(w), "theta1": dict(w.theta1, e=("X1>y", "x>X1"))})
+    broken = w._replace(theta1=dict(w.theta1, e=("X1>y", "x>X1")))
     mid = split_apply(tl_e1, SplitSpec("insplit", {"v": (("p",), ("q",))})).graph
     far = split_apply(
         mid, SplitSpec("outsplit", {"v~1": (("p~1",), ("q~1",)), "v~2": (("p~2", "q~2"),)})

@@ -1,19 +1,23 @@
 import collections
 import itertools
 import json
+import pickle
 import random
 import re
 import sys
 
 import pytest
 
+import ssekit
 from ssekit import (
     DirectedMultigraph,
     Edge,
     EdgeFunction,
+    EssePair,
     GraphError,
     GraphFormatError,
     NonnegIntMatrix,
+    SplitSpec,
     adjacency_matrix,
     canonical_key,
     classify_vertices,
@@ -22,6 +26,7 @@ from ssekit import (
     parse_graph,
     parse_graph_with_weights,
     paths_between,
+    periodic_point_profile,
     serialize_graph,
     to_dot,
 )
@@ -149,6 +154,55 @@ def test_edge_is_a_named_tuple():
     assert e == ("e", "v", "w") and hash(e) == hash(("e", "v", "w"))
     assert repr(e) == "Edge(id='e', src='v', rng='w')"
     assert (e.id, e.src, e.rng) == tuple(e)
+
+
+def _loop():
+    return DirectedMultigraph(("v",), (Edge("e", "v", "v"),))
+
+
+def _one():
+    return NonnegIntMatrix.from_entries([[1]])
+
+
+@pytest.mark.parametrize(
+    "make, hashable, invalid, message",
+    [
+        (lambda: Edge("e", "v", "w"), True, None, None),
+        (_loop, True, lambda: DirectedMultigraph(("v", "w", "v"), ()), "duplicate vertex id 'v'"),
+        (_one, True, None, None),
+        (lambda: EdgeFunction(_loop(), {"e": 2}), False, None, None),
+        (lambda: SplitSpec("insplit", {"v": (("e",),)}), False, None, None),
+        (lambda: EssePair(_one(), _one(), _one(), _one()), True,
+         lambda: EssePair(NonnegIntMatrix.from_entries([[1, 1]]), _one(), _one(), _one()), "A and B must be square"),
+        (lambda: EssePair(_one(), _one(), _one(), _one()), True,
+         lambda: EssePair(_one(), _one(), _one(), NonnegIntMatrix.from_entries([[1, 1]])), "S must be 1x1, got 1x2"),
+        (lambda: periodic_point_profile(_loop(), 3), True, None, None),
+    ],
+    ids=["Edge", "DirectedMultigraph", "NonnegIntMatrix", "EdgeFunction", "SplitSpec", "EssePair-A", "EssePair-S",
+         "PeriodicPointProfile"],
+)
+def test_value_type_contract(make, hashable, invalid, message):
+    """Values built from equal inputs are equal, hash alike unless a field
+    is a dict, reject assignment, print as a constructor call and survive a
+    pickle round trip; constructors validate."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    name = type(a)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, name, getattr(b, name))
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert eval(repr(a), vars(ssekit)) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    if invalid is not None:
+        with pytest.raises(GraphError) as exc:
+            invalid()
+        assert str(exc.value) == message
 
 
 def test_json_text_matches_json_dumps():
