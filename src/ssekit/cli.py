@@ -210,6 +210,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
+    if args.f and not args.phi_side:
+        raise GraphFormatError("--f needs --phi-side")
     w = _load_witness(args.witness)
     if args.h:
         h = _load_weight_map(args.h, w.e3)
@@ -399,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if getattr(args, "command", None) == "transport" and args.f and not args.phi_side:
-        sys.stderr.write("error: --f needs --phi-side\n")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except GraphError as exc:

@@ -12,12 +12,13 @@ form, and a move is one vector partition per vertex, of its in-count column
 for an insplit or its out-count row for an outsplit, so parallel edges do
 not multiply the moves.  Moves often give a matrix already reached (the
 move with one class per vertex gives its parent's own), so each side keys
-each distinct count matrix once and looks the key up after.  Labelled
-graphs and specs are built only for the legs returned, by replaying their
-moves from the labelled root.  A move replays as the first labelled spec
-with its class vectors, which is the spec that first reaches the child in
-the labelled enumeration order, so the printed legs are those of a search
-over labelled specs.
+each distinct count matrix once and looks the key up after.  Children are
+keyed from their count matrices without being built; a state builds its
+labelled graph from its parent's when it is expanded, or when a returned
+leg passes through it.  A move builds as the first labelled spec with its
+class vectors, which is the spec that first reaches the child in the
+labelled enumeration order, so the printed legs are those of a search over
+labelled specs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .splits import (
     SplitSpec,
     _build_split,
     split_counts,
-    split_ends,
     vector_split_spec,
     vector_splits,
     widest_split_vertex_count,
@@ -92,15 +92,17 @@ class ChainSearchResult(NamedTuple):
 
 
 class _State:
-    __slots__ = ("counts", "parent", "move", "parts", "ends")
-    counts: tuple[tuple[int, ...], ...]  # count matrix, in the vertex order of the graph leg() builds
+    __slots__ = ("counts", "parent", "move", "parts", "spec", "graph")
+    counts: tuple[tuple[int, ...], ...]  # count matrix, in the vertex order of graph
     parent: tuple | None
     move: str | None
-    parts: dict[int, Classes] | None  # class count vectors per partitioned vertex
-    ends: list[tuple[int, int]] | None  # edges as (src, rng) positions; set on expansion
+    parts: dict[int, Classes] | None  # class count vectors per partitioned vertex of the parent
+    spec: SplitSpec | None  # the move's labelled spec on the parent's graph; set with graph
+    graph: DirectedMultigraph | None  # set when the search first needs it
 
-    def __init__(self, counts, parent, move, parts, ends=None) -> None:
-        self.counts, self.parent, self.move, self.parts, self.ends = counts, parent, move, parts, ends
+    def __init__(self, counts, parent, move, parts, graph=None) -> None:
+        self.counts, self.parent, self.move, self.parts = counts, parent, move, parts
+        self.spec, self.graph = None, graph
 
 
 class _SearchSide:
@@ -108,37 +110,39 @@ class _SearchSide:
     its canonical form; a move is a vector partition per vertex
     (``vector_splits``).  ``keys`` maps each count matrix reached, as a
     tuple of rows in the order it was computed in, to its canonical key, so
-    the side keys each distinct matrix once.  Labelled graphs are built only
-    for the legs that ``leg`` returns, by replaying the moves from the root."""
+    the side keys each distinct matrix once.  Children are keyed from their
+    count matrices without being built; each expanded state builds its
+    labelled graph from its parent's (``_graph``)."""
 
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
-        self.root = root
         self.max_vertices = max_vertices
         self.max_parts = max_parts
         self.truncated = False
-        vidx = {v: i for i, v in enumerate(root.vertices)}
-        ends = [(vidx[e.src], vidx[e.rng]) for e in root.edges]
         counts = tuple(map(tuple, _count_matrix(root)))
         root_key = canonical_key_of_counts(counts)
         self.keys: dict[tuple, tuple] = {counts: root_key}
-        self.states: dict[tuple, _State] = {root_key: _State(counts, None, None, None, ends)}
+        self.states: dict[tuple, _State] = {root_key: _State(counts, None, None, None, root)}
         self.layers: list[list[tuple]] = [[root_key]]
+
+    def _graph(self, state: _State) -> DirectedMultigraph:
+        """The state's labelled graph: its parent's, split by the first
+        labelled spec of its move.  Built once, when first needed."""
+        if state.graph is None:
+            parent = self._graph(self.states[state.parent])  # type: ignore[index]
+            state.spec = vector_split_spec(parent, state.move, state.parts)  # type: ignore[arg-type]
+            # vector_split_spec builds only valid specs
+            state.graph = _build_split(parent, state.spec).graph
+        return state.graph
 
     def expand_to(self, depth: int) -> None:
         while len(self.layers) <= depth:
             new_layer: list[tuple] = []
             for key in self.layers[-1]:
                 state = self.states[key]
-                n = len(state.counts)
-                if state.ends is None:
-                    # the parent's layer was expanded before this one, so its ends are set
-                    parent = self.states[state.parent]  # type: ignore[index]
-                    state.ends = split_ends(
-                        len(parent.counts), parent.ends, state.move, state.parts  # type: ignore[arg-type]
-                    )
-                if widest_split_vertex_count(n, state.ends, self.max_parts) > self.max_vertices:
+                g = self._graph(state)
+                if widest_split_vertex_count(g, self.max_parts) > self.max_vertices:
                     self.truncated = True
-                for move, parts in vector_splits(n, state.ends, self.max_parts, self.max_vertices):
+                for move, parts in vector_splits(g, self.max_parts, self.max_vertices):
                     counts = split_counts(state.counts, move, parts)
                     child_key = self.keys.get(counts)
                     if child_key is None:
@@ -149,18 +153,13 @@ class _SearchSide:
             self.layers.append(new_layer)
 
     def leg(self, key: tuple) -> list[ChainStep]:
-        moves: list[_State] = []
+        steps: list[ChainStep] = []
         state = self.states[key]
         while state.parent is not None:
-            moves.append(state)
+            graph = self._graph(state)
+            steps.append(ChainStep(state.move, state.spec, graph))  # type: ignore[arg-type]
             state = self.states[state.parent]
-        steps: list[ChainStep] = []
-        g = self.root
-        for state in reversed(moves):
-            spec = vector_split_spec(g, state.move, state.parts)  # type: ignore[arg-type]
-            # vector_split_spec builds only valid specs
-            g = _build_split(g, spec).graph
-            steps.append(ChainStep(state.move, spec, g))  # type: ignore[arg-type]
+        steps.reverse()
         return steps
 
 
@@ -190,7 +189,8 @@ def sse_chain_search(
     over it are never tried; each remaining child's count matrix is
     computed from the parent's, and each side keys each distinct count
     matrix once, so a move back to a matrix already reached costs a lookup.
-    Labelled graphs are built only for the legs returned.
+    Children are keyed without being built: each expanded state builds its
+    labelled graph from its parent's, as do the states of the legs returned.
     Depth pairs are explored balanced-first within each total step count, so
     one-sided deep expansion happens only when nothing shallower meets; once
     both frontiers are empty and no pair can meet, the search stops early.

@@ -322,27 +322,21 @@ def reverse_transport(g: DirectedMultigraph, spec: SplitSpec, g2: EdgeFunction) 
 
 # -- split moves on count matrices, for the chain search ---------------------
 #
-# The search works on vertex positions: ``ends`` lists a graph's edges as
-# (source, range) positions in edge order, and a split's classes at a vertex
-# are count vectors over the far ends of its fiber's edges (their sources for
-# an insplit, their ranges for an outsplit).  Parallel edges are
-# interchangeable, so a move is one vector partition per partitioned vertex,
-# and the labelled spec it stands for is built only when a caller asks.
+# The search keys its states by count matrix, in the vertex order of their
+# labelled graph.  A split's classes at a vertex are count vectors over the
+# far ends of its fiber's edges (their sources for an insplit, their ranges
+# for an outsplit), indexed by vertex position.  Parallel edges are
+# interchangeable, so a move is one vector partition per partitioned vertex.
+# ``split_counts`` gives a move's count matrix without building its graph;
+# ``vector_split_spec`` gives the labelled spec it stands for, for
+# ``_build_split`` to apply.
 
 Classes = tuple[tuple[int, ...], ...]
 
 
-def _fibers(n: int, ends: Sequence[tuple[int, int]], kind: str) -> list[tuple[int, list[int]]]:
-    """``_mapped_fibers`` on positions: each vertex a spec of ``kind``
-    partitions, with the positions in ``ends`` of its fiber's edges."""
-    into: list[list[int]] = [[] for _ in range(n)]
-    out_of: list[list[int]] = [[] for _ in range(n)]
-    for k, (s, r) in enumerate(ends):
-        out_of[s].append(k)
-        into[r].append(k)
-    if kind == "insplit":
-        return [(v, ks) for v, ks in enumerate(into) if ks]
-    return [(v, ks) for v, (kin, ks) in enumerate(zip(into, out_of)) if kin and ks]
+def _far_ends(vidx: Mapping[str, int], kind: str, fiber: Sequence[Edge]) -> list[int]:
+    """The positions of the far ends of a fiber's edges, in edge order."""
+    return [vidx[e.src] for e in fiber] if kind == "insplit" else [vidx[e.rng] for e in fiber]
 
 
 def _vector_partitions(far: Sequence[int], n: int, max_parts: int) -> list[Classes]:
@@ -403,15 +397,15 @@ def _first_classes(far: Sequence[int], classes: Classes) -> list[int]:
 
 
 def vector_splits(
-    n: int, ends: Sequence[tuple[int, int]], max_parts: int, max_vertices: float
+    g: DirectedMultigraph, max_parts: int, max_vertices: float
 ) -> Iterator[tuple[str, dict[int, Classes]]]:
-    """Every insplit, then every outsplit, of the graph with ``n`` vertices
-    and edges ``ends``, up to parallel edges: ``(kind, parts)``, ``parts`` a
-    vector partition per partitioned vertex, in the product order of
-    ``_vector_partitions``.  Each move stands for its first labelled spec
-    (``vector_split_spec``), and the moves come in the order of those specs
-    among all labelled ones, so the first move to reach a child is the first
-    labelled spec to reach it.
+    """Every insplit, then every outsplit, of ``g`` up to parallel edges:
+    ``(kind, parts)``, ``parts`` a vector partition per partitioned vertex,
+    vertices by position, in the product order of ``_vector_partitions``.
+    Each move stands for its first labelled spec (``vector_split_spec``),
+    and the moves come in the order of those specs among all labelled ones,
+    so the first move to reach a child is the first labelled spec to reach
+    it.
 
     Only the moves whose split graph has at most ``max_vertices`` vertices
     come, in that order (``math.inf`` keeps them all): a partial product is
@@ -420,13 +414,14 @@ def vector_splits(
     classes everywhere else are not generated at all; dropping them keeps
     the order of the rest.
     """
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(vidx)
     for kind in ("insplit", "outsplit"):
-        fibers = _fibers(n, ends, kind)
-        mapped = [v for v, _ in fibers]
-        budget = max_vertices - (n - len(mapped))
-        widest = min(max_parts, budget - len(mapped) + 1)
-        far = 0 if kind == "insplit" else 1  # the end away from the partitioned vertex
-        choices = [_vector_partitions([ends[k][far] for k in ks], n, widest) for _, ks in fibers]
+        fibers = _mapped_fibers(g, kind)
+        budget = max_vertices - (n - len(fibers))
+        widest = min(max_parts, budget - len(fibers) + 1)
+        choices = [_vector_partitions(_far_ends(vidx, kind, es), n, widest) for _, es in fibers]
+        mapped = [vidx[v] for v, _ in fibers]
         for combo in _bounded_product(choices, budget):
             yield kind, dict(zip(mapped, combo))
 
@@ -453,15 +448,15 @@ def _bounded_product(choices: list[list[Classes]], budget: float) -> Iterator[tu
         yield from extend(0, budget)
 
 
-def widest_split_vertex_count(n: int, ends: Sequence[tuple[int, int]], max_parts: int) -> int:
-    """The most vertices a split of the graph with ``n`` vertices and edges
-    ``ends`` can have with at most ``max_parts`` classes per vertex, over
-    both kinds: each partitioned vertex takes as many classes as it has
-    edges, up to ``max_parts``.  The graph has a move over a vertex bound
-    exactly when this exceeds it."""
+def widest_split_vertex_count(g: DirectedMultigraph, max_parts: int) -> int:
+    """The most vertices a split of ``g`` can have with at most
+    ``max_parts`` classes per vertex, over both kinds: each partitioned
+    vertex takes as many classes as it has edges, up to ``max_parts``.
+    ``g`` has a move over a vertex bound exactly when this exceeds it."""
+    n = len(g.vertices)
     return max(
-        n - len(fibers) + sum(min(max_parts, len(ks)) for _, ks in fibers)
-        for fibers in (_fibers(n, ends, "insplit"), _fibers(n, ends, "outsplit"))
+        n - len(fibers) + sum(min(max_parts, len(es)) for _, es in fibers)
+        for fibers in (_mapped_fibers(g, "insplit"), _mapped_fibers(g, "outsplit"))
     )
 
 
@@ -487,26 +482,6 @@ def split_counts(
     return tuple([tuple([k for k, c in zip(vec, copies) for _ in range(c)]) for cs in cls for vec in cs])
 
 
-def split_ends(
-    n: int, ends: Sequence[tuple[int, int]], kind: str, parts: Mapping[int, Classes]
-) -> list[tuple[int, int]]:
-    """The edges of the split by ``(kind, parts)`` as (source, range)
-    positions, in the order ``_build_split`` gives them for
-    ``vector_split_spec``'s spec."""
-    far = 0 if kind == "insplit" else 1  # the end away from the partitioned vertex
-    cls = [0] * len(ends)  # class of each edge in its fiber
-    for v, ks in _fibers(n, ends, kind):
-        for k, c in zip(ks, _first_classes([ends[k][far] for k in ks], parts[v])):
-            cls[k] = c
-    copies = [len(parts[v]) if v in parts else 1 for v in range(n)]
-    first = [sum(copies[:v]) for v in range(n)]
-    if kind == "insplit":
-        # a copy of the edge at every copy of its source, into its class at the range
-        return [(first[s] + j, first[r] + c) for (s, r), c in zip(ends, cls) for j in range(copies[s])]
-    # from its class at the source, a copy into every copy of the range
-    return [(first[s] + c, first[r] + j) for (s, r), c in zip(ends, cls) for j in range(copies[r])]
-
-
 def vector_split_spec(g: DirectedMultigraph, kind: str, parts: Mapping[int, Classes]) -> SplitSpec:
     """The first labelled spec of ``g`` (in ``_vector_partitions``' order)
     whose classes have the count vectors ``parts``, vertices by position."""
@@ -514,9 +489,8 @@ def vector_split_spec(g: DirectedMultigraph, kind: str, parts: Mapping[int, Clas
     labelled: dict[str, tuple[tuple[str, ...], ...]] = {}
     for v, es in _mapped_fibers(g, kind):
         classes = parts[vidx[v]]
-        far = [vidx[e.src if kind == "insplit" else e.rng] for e in es]
         members: list[list[str]] = [[] for _ in classes]
-        for e, c in zip(es, _first_classes(far, classes)):
+        for e, c in zip(es, _first_classes(_far_ends(vidx, kind, es), classes)):
             members[c].append(e.id)
         labelled[v] = tuple(map(tuple, members))
     return SplitSpec(kind, labelled)

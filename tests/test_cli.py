@@ -387,7 +387,7 @@ def test_each_input_file_is_read_once(run, files, monkeypatch):
 def test_transport_f_requires_phi_side(run, files):
     f = _write(files["tmp"] / "f2.weights", json.dumps({"weights": {"p": 1, "q": 2}}))
     code, _, err = run("transport", "--witness", files["tl_w"], "--f", f)
-    assert code == 2
+    assert (code, err) == (2, "error: --f needs --phi-side\n")
 
 
 def test_matrix_verify(run, files):
@@ -598,6 +598,26 @@ def test_library_imports_only_stdlib():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_library_imports_are_used():
+    """Every name a module imports is used in it, so a deletion leaves no
+    stale import behind.  ``__init__.py`` imports only to re-export."""
+    package = pathlib.Path(__file__).parent.parent / "src" / "ssekit"
+    sources = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert sources
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []
 
 
 def test_cli_import_stays_light():

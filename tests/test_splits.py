@@ -8,9 +8,11 @@ from ssekit import (
     Edge,
     EdgeFunction,
     GraphError,
+    NonnegIntMatrix,
     SplitSpec,
     SplitSpecError,
     adjacency_matrix,
+    graph_from_matrix,
     is_isomorphic,
     push_forward,
     reverse_transport,
@@ -19,6 +21,7 @@ from ssekit import (
     validate_split_spec,
     verify_sse_witness,
 )
+from ssekit import search
 from ssekit.corpus import random_edge_function, random_graph, random_split_spec
 from ssekit.graphs import _count_matrix, canonical_key, canonical_key_of_counts
 from ssekit.splits import (
@@ -27,7 +30,6 @@ from ssekit.splits import (
     _first_classes,
     _vector_partitions,
     split_counts,
-    split_ends,
     vector_split_spec,
     vector_splits,
     widest_split_vertex_count,
@@ -456,14 +458,8 @@ def _split_corpus() -> list[DirectedMultigraph]:
     return graphs
 
 
-def _positions(g):
-    """(n, ends): g's vertex count and its edges as (src, rng) positions."""
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    return len(g.vertices), [(vidx[e.src], vidx[e.rng]) for e in g.edges]
-
-
 def _moves(g, max_parts, max_vertices=math.inf):
-    return list(vector_splits(*_positions(g), max_parts, max_vertices))
+    return list(vector_splits(g, max_parts, max_vertices))
 
 
 def _built(g, kind, parts):
@@ -480,8 +476,8 @@ def test_enumerate_split_specs_all_valid(loop_feed):
     # splittable vertex either way
     assert sum(1 for k, _ in moves if k == "insplit") == 2
     # The chain search builds the labelled specs of its moves only for the
-    # legs it prints, without validating them again or comparing their trace
-    # profiles with the parent's.
+    # states it expands or prints, without validating them again or comparing
+    # their trace profiles with the parent's.
     for h in [g] + _split_corpus():
         a = adjacency_matrix(h)
         traces = [a.power(n).trace() for n in range(1, 5)]
@@ -526,7 +522,7 @@ def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
     # per kind keeps every vertex, and is over the bound below |V|
     edgeless = DirectedMultigraph(("u", "v"), ())
     for g in [loop_feed[0], edgeless] + _split_corpus():
-        n, ends = _positions(g)
+        n = len(g.vertices)
         for max_parts in (2, 3):
             moves = _moves(g, max_parts)
             sizes = [n - len(parts) + sum(map(len, parts.values())) for _, parts in moves]
@@ -535,27 +531,42 @@ def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
             for bound in range(1, len(g.vertices) + 4):
                 assert _moves(g, max_parts, bound) == [mv for mv, size in zip(moves, sizes) if size <= bound]
                 over = any(size > bound for size in sizes)
-                assert (widest_split_vertex_count(n, ends, max_parts) > bound) == over
+                assert (widest_split_vertex_count(g, max_parts) > bound) == over
                 checked += 1
     assert checked > 500
 
 
 def test_split_counts_match_the_built_graph(loop_feed, two_loops):
-    # The chain search keys each child from split_counts' matrix, expands it
-    # from split_ends' edge list, and builds the labelled graph only for the
-    # legs it prints; all three must describe the same graph.
+    # The chain search keys each child from split_counts' matrix and builds
+    # the labelled graph only for the states it expands or prints; both must
+    # describe the same graph.
     moves_seen = 0
     for g in [loop_feed[0], two_loops[0], two_loops[2]] + _split_corpus():
-        n, ends = _positions(g)
         for max_parts in (2, 3):
             for kind, parts in _moves(g, max_parts):
                 _, child = _built(g, kind, parts)
                 m = split_counts(_count_matrix(g), kind, parts)
                 assert [list(row) for row in m] == _count_matrix(child)
                 assert canonical_key_of_counts(m) == canonical_key(child)
-                assert split_ends(n, ends, kind, parts) == _positions(child)[1]
                 moves_seen += 1
     assert moves_seen > 600
+
+
+def test_expanded_states_count_in_their_graphs_vertex_order():
+    # vector_splits reads vertex positions off an expanded state's labelled
+    # graph, and split_counts indexes the state's count matrix with them: the
+    # two must share one vertex order.  Williams' pair, then the split corpus.
+    williams = [graph_from_matrix(NonnegIntMatrix.from_entries(m)) for m in ([[1, 3], [2, 1]], [[1, 6], [1, 1]])]
+    expanded = 0
+    for g, max_vertices in [(h, 4) for h in williams] + [(h, 5) for h in _split_corpus()]:
+        side = search._SearchSide(g, max_vertices, 2)
+        side.expand_to(2)
+        for layer in side.layers[:-1]:
+            for key in layer:
+                state = side.states[key]
+                assert _count_matrix(state.graph) == [list(row) for row in state.counts]
+                expanded += 1
+    assert expanded > 200
 
 
 def test_vector_partitions_are_the_first_set_partitions():
