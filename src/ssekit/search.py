@@ -19,10 +19,18 @@ leg passes through it.  A move builds as the first labelled spec with its
 class vectors, which is the spec that first reaches the child in the
 labelled enumeration order, so the printed legs are those of a search over
 labelled specs.
+
+Splits only add vertices: a state first reached at depth d has more
+vertices than its parent, since the one move that keeps every vertex
+rebuilds the parent.  So a depth pair whose layers cannot share a vertex
+count cannot meet, and the search skips it without expanding either side;
+the vertex-bound flag it reports is that of a search that expanded every
+pair.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .graphs import (
@@ -112,12 +120,17 @@ class _SearchSide:
     tuple of rows in the order it was computed in, to its canonical key, so
     the side keys each distinct matrix once.  Children are keyed from their
     count matrices without being built; each expanded state builds its
-    labelled graph from its parent's (``_graph``)."""
+    labelled graph from its parent's (``_graph``).
+
+    ``layers[d]`` holds the states first reached at depth d.  Each has its
+    parent in layer d - 1 and more vertices than it, so the layers reached
+    bound the vertex counts of deeper ones (``_vertex_counts``).  A side is
+    expanded only as far as the search needs; ``truncated_before`` gives
+    the vertex-bound flag of a side expanded further."""
 
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
         self.max_vertices = max_vertices
         self.max_parts = max_parts
-        self.truncated = False
         counts = tuple(map(tuple, _count_matrix(root)))
         root_key = canonical_key_of_counts(counts)
         self.keys: dict[tuple, tuple] = {counts: root_key}
@@ -139,10 +152,7 @@ class _SearchSide:
             new_layer: list[tuple] = []
             for key in self.layers[-1]:
                 state = self.states[key]
-                g = self._graph(state)
-                if widest_split_vertex_count(g, self.max_parts) > self.max_vertices:
-                    self.truncated = True
-                for move, parts in vector_splits(g, self.max_parts, self.max_vertices):
+                for move, parts in vector_splits(self._graph(state), self.max_parts, self.max_vertices):
                     counts = split_counts(state.counts, move, parts)
                     child_key = self.keys.get(counts)
                     if child_key is None:
@@ -151,6 +161,17 @@ class _SearchSide:
                         self.states[child_key] = _State(counts, key, move, parts)
                         new_layer.append(child_key)
             self.layers.append(new_layer)
+
+    def truncated_before(self, depth: int) -> bool:
+        """Whether a state in layers 0..depth-1 has a move over the vertex
+        bound: the flag a search that expanded this side to ``depth``
+        reports.  Reaches layer depth-1, not depth."""
+        self.expand_to(depth - 1)
+        return any(
+            widest_split_vertex_count(self.states[key].counts, self.max_parts) > self.max_vertices
+            for layer in self.layers[:depth]
+            for key in layer
+        )
 
     def leg(self, key: tuple) -> list[ChainStep]:
         steps: list[ChainStep] = []
@@ -194,6 +215,18 @@ def sse_chain_search(
     Depth pairs are explored balanced-first within each total step count, so
     one-sided deep expansion happens only when nothing shallower meets; once
     both frontiers are empty and no pair can meet, the search stops early.
+
+    A depth pair whose two layers cannot share a vertex count is skipped
+    without expanding either side.  A state first reached at depth d has
+    more vertices than its parent (the move that keeps every vertex
+    rebuilds the parent), so past a side's deepest reached layer k, layer d
+    has at least the least count in layer k plus d - k vertices.  Each side
+    is then expanded only as far as a meeting needs.
+    ``truncated_by_vertex_bound`` still reports what expanding every pair
+    would: whether a state in layers 0..D-1 of either side has a split over
+    ``max_vertices``, D being the deepest depth the pair order asked of that
+    side, skipped pairs included.  An absent result expands both sides to
+    those depths before it picks its reason.
     """
     if max_steps < 0:
         raise GraphError("max_steps must be nonnegative")
@@ -210,17 +243,27 @@ def sse_chain_search(
 
     side1 = _SearchSide(e1, max_vertices, max_parts)
     side2 = _SearchSide(e2, max_vertices, max_parts)
+    deepest1 = deepest2 = 0  # the deepest layer each side was asked for
 
     for total in range(max_steps + 1):
-        if not (side1.layers[-1] or side2.layers[-1]):
-            # both frontiers died: a side's last states are at depth layers.index([]) - 1
-            if total > side1.layers.index([]) + side2.layers.index([]) - 2:
+        if total and (_empty(side1, total - 1) or _empty(side2, total - 1)):
+            # a frontier is empty by depth total - 1, which the pairs so far
+            # asked of both sides: reach it on both to see whether both died
+            side1.expand_to(total - 1)
+            side2.expand_to(total - 1)
+            # a side's last states are at depth layers.index([]) - 1
+            if not (side1.layers[-1] or side2.layers[-1]) and (
+                total > side1.layers.index([]) + side2.layers.index([]) - 2
+            ):
                 break  # every pair from here on is past one side's last states
         decompositions = sorted(
             ((d1, total - d1) for d1 in range(total + 1)),
             key=lambda pair: (max(pair), pair),
         )
         for d1, d2 in decompositions:
+            deepest1, deepest2 = max(deepest1, d1), max(deepest2, d2)
+            if _apart(side1, d1, side2, d2):
+                continue
             side1.expand_to(d1)
             side2.expand_to(d2)
             common = sorted(set(side1.layers[d1]) & set(side2.layers[d2]))
@@ -230,11 +273,14 @@ def sse_chain_search(
                     "found",
                     steps_from_e1=side1.leg(meet),
                     steps_from_e2=side2.leg(meet),
-                    truncated_by_vertex_bound=side1.truncated or side2.truncated,
+                    truncated_by_vertex_bound=side1.truncated_before(deepest1)
+                    or side2.truncated_before(deepest2),
                 )
 
-    truncated = side1.truncated or side2.truncated
-    frontier_open = bool(side1.layers[-1]) or bool(side2.layers[-1])
+    side1.expand_to(deepest1)
+    side2.expand_to(deepest2)
+    truncated = side1.truncated_before(deepest1) or side2.truncated_before(deepest2)
+    frontier_open = bool(side1.layers[deepest1]) or bool(side2.layers[deepest2])
     if frontier_open or truncated:
         reason = "depth-bound-reached"
     else:
@@ -242,3 +288,32 @@ def sse_chain_search(
     return ChainSearchResult(
         "absent", reason=reason, truncated_by_vertex_bound=truncated
     )
+
+
+def _vertex_counts(side: _SearchSide, depth: int) -> tuple[float, float]:
+    """The least and the greatest vertex count a state in layer ``depth``
+    of ``side`` can have, read off the layers reached so far: a reached
+    layer's own counts (``key[0]`` is n); past the deepest one, k, the least
+    count there plus ``depth - k``, and ``max_vertices``.  An empty layer,
+    or any past it, gives an empty range."""
+    k = len(side.layers) - 1
+    counts = [key[0] for key in side.layers[min(depth, k)]]
+    if not counts:
+        return math.inf, 0
+    if depth <= k:
+        return min(counts), max(counts)
+    return min(counts) + depth - k, side.max_vertices
+
+
+def _empty(side: _SearchSide, depth: int) -> bool:
+    """Whether layer ``depth`` of ``side`` is known to hold no state."""
+    lo, hi = _vertex_counts(side, depth)
+    return lo > hi
+
+
+def _apart(side1: _SearchSide, d1: int, side2: _SearchSide, d2: int) -> bool:
+    """Whether layer d1 of side1 and layer d2 of side2 can share no vertex
+    count, and so no state."""
+    lo1, hi1 = _vertex_counts(side1, d1)
+    lo2, hi2 = _vertex_counts(side2, d2)
+    return max(lo1, lo2) > min(hi1, hi2)

@@ -448,15 +448,19 @@ def _bounded_product(choices: list[list[Classes]], budget: float) -> Iterator[tu
         yield from extend(0, budget)
 
 
-def widest_split_vertex_count(g: DirectedMultigraph, max_parts: int) -> int:
-    """The most vertices a split of ``g`` can have with at most
-    ``max_parts`` classes per vertex, over both kinds: each partitioned
-    vertex takes as many classes as it has edges, up to ``max_parts``.
-    ``g`` has a move over a vertex bound exactly when this exceeds it."""
-    n = len(g.vertices)
-    return max(
-        n - len(fibers) + sum(min(max_parts, len(es)) for _, es in fibers)
-        for fibers in (_mapped_fibers(g, "insplit"), _mapped_fibers(g, "outsplit"))
+def widest_split_vertex_count(m: Sequence[Sequence[int]], max_parts: int) -> int:
+    """The most vertices a split of the graph with count matrix ``m`` can
+    have with at most ``max_parts`` classes per vertex, over both kinds:
+    each partitioned vertex takes as many classes as it has edges, up to
+    ``max_parts``.  An insplit's fibers are the nonzero column sums, an
+    outsplit's the row sums of the vertices that both receive and emit
+    (``_mapped_fibers``).  The graph has a move over a vertex bound exactly
+    when this exceeds it."""
+    ins = [sum(col) for col in zip(*m)]
+    outs = [sum(row) for row in m]
+    return len(m) + max(
+        sum(min(max_parts, k) - 1 for k in ins if k),
+        sum(min(max_parts, k) - 1 for k, i in zip(outs, ins) if k and i),
     )
 
 

@@ -10,13 +10,15 @@
   infeasible example.
 * broken_two_loops: the two_loops witness broken three ways on side 2, each
   with the message that rejects it.
+* two_loops_composite: two_loops' complete 2-vertex graph outsplit at one
+  vertex, two splits from the one-vertex graph.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from ssekit import DirectedMultigraph, Edge, EdgeFunction, SplitSpec, SseWitness
+from ssekit import DirectedMultigraph, Edge, EdgeFunction, SplitSpec, SseWitness, split_apply
 
 try:
     import hypothesis
@@ -148,6 +150,14 @@ def broken_two_loops(two_loops):
             "vertex map is not injective; cannot reconstruct the outer graph",
         ),
     ]
+
+
+@pytest.fixture(scope="session")
+def two_loops_composite(two_loops):
+    """The one-vertex two-loop graph insplit into two_loops' complete
+    2-vertex graph, then outsplit at V1: three vertices."""
+    spec = SplitSpec("outsplit", {"V1": (("l1",), ("m12",)), "V2": (("m21", "l2"),)})
+    return split_apply(two_loops[1], spec).graph
 
 
 @pytest.fixture(scope="session")

@@ -531,7 +531,7 @@ def test_bounded_enumeration_is_the_filtered_enumeration(loop_feed):
             for bound in range(1, len(g.vertices) + 4):
                 assert _moves(g, max_parts, bound) == [mv for mv, size in zip(moves, sizes) if size <= bound]
                 over = any(size > bound for size in sizes)
-                assert (widest_split_vertex_count(g, max_parts) > bound) == over
+                assert (widest_split_vertex_count(_count_matrix(g), max_parts) > bound) == over
                 checked += 1
     assert checked > 500
 
@@ -567,6 +567,27 @@ def test_expanded_states_count_in_their_graphs_vertex_order():
                 assert _count_matrix(state.graph) == [list(row) for row in state.counts]
                 expanded += 1
     assert expanded > 200
+
+
+def test_each_layer_grows_the_vertex_count(two_loops, two_loops_composite):
+    # The chain search skips a depth pair whose layers cannot share a vertex
+    # count, bounding the unexpanded layers by this: a state first reached
+    # at depth d has more vertices than its parent, which is in layer d - 1,
+    # so it has at least |V_root| + d.  The vertex bound leaves room for
+    # three such steps.
+    states = 0
+    for g in [two_loops[0], two_loops[1], two_loops_composite] + _split_corpus():
+        root = len(g.vertices)
+        side = search._SearchSide(g, root + 3, 2)
+        side.expand_to(3)
+        for depth in range(1, 4):
+            above = set(side.layers[depth - 1])
+            for key in side.layers[depth]:
+                n, parent = key[0], side.states[key].parent
+                assert parent in above
+                assert n > parent[0] and n >= root + depth
+                states += 1
+    assert states > 25_000
 
 
 def test_vector_partitions_are_the_first_set_partitions():

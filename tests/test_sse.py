@@ -724,14 +724,14 @@ def test_chain_search_space_exhausted():
 
 class _UnboundedEnumerationSide:
     """Reference search side on labelled graphs: enumerate every labelled
-    spec, flag the search as truncated for each spec whose split graph is
-    over the bound, build every other child and key the built graph.  The
-    first spec to reach a key is its state's move."""
+    spec, record for each layer whether a spec of one of its states has a
+    split graph over the bound, build every other child and key the built
+    graph.  The first spec to reach a key is its state's move."""
 
     def __init__(self, root, max_vertices, max_parts):
         self.max_vertices = max_vertices
         self.max_parts = max_parts
-        self.truncated = False
+        self.cut = []  # per expanded layer
         root_key = canonical_key(root)
         self.states = {root_key: (root, None, None, None)}
         self.layers = [[root_key]]
@@ -739,18 +739,24 @@ class _UnboundedEnumerationSide:
     def expand_to(self, depth):
         while len(self.layers) <= depth:
             new_layer = []
+            cut = False
             for key in self.layers[-1]:
                 g = self.states[key][0]
                 for move, spec in enumerate_split_specs(g, self.max_parts):
                     if split_vertex_count(g, spec) > self.max_vertices:
-                        self.truncated = True
+                        cut = True
                         continue
                     child = _build_split(g, spec).graph
                     child_key = canonical_key(child)
                     if child_key not in self.states:
                         self.states[child_key] = (child, key, move, spec)
                         new_layer.append(child_key)
+            self.cut.append(cut)
             self.layers.append(new_layer)
+
+    def truncated_before(self, depth):
+        self.expand_to(depth)
+        return any(self.cut[:depth])
 
     def leg(self, key):
         steps = []
@@ -760,6 +766,12 @@ class _UnboundedEnumerationSide:
             graph, parent, move, spec = self.states[parent]
         steps.reverse()
         return steps
+
+
+def _every_pair_meets(side1, d1, side2, d2):
+    """A vertex-count skip that skips nothing: the reference search expands
+    every depth pair it asks for."""
+    return False
 
 
 def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
@@ -783,6 +795,7 @@ def test_chain_search_matches_unbounded_enumeration(monkeypatch, two_loops):
                 fast = sse_chain_search(*args).to_json_obj()
                 with monkeypatch.context() as m:
                     m.setattr(search, "_SearchSide", _UnboundedEnumerationSide)
+                    m.setattr(search, "_apart", _every_pair_meets)
                     slow = sse_chain_search(*args).to_json_obj()
                 assert fast == slow, args
                 outcomes.append((fast["status"], fast["truncated_by_vertex_bound"]))
@@ -812,7 +825,9 @@ def test_chain_search_matches_unbounded_enumeration_on_random_pairs(monkeypatch)
         return e1, draw(st.sampled_from(grown or [e1]))
 
     def run(side, args):
-        """The result, and each side's layers as sets of keys."""
+        """The result, and each side's layers as sets of keys.  The
+        reference expands every depth pair it asks for; both then reach
+        depth max_steps, as the skipped pairs leave layers unreached."""
         sides = []
 
         class Recorded(side):
@@ -822,7 +837,11 @@ def test_chain_search_matches_unbounded_enumeration_on_random_pairs(monkeypatch)
 
         with monkeypatch.context() as m:
             m.setattr(search, "_SearchSide", Recorded)
+            if side is _UnboundedEnumerationSide:
+                m.setattr(search, "_apart", _every_pair_meets)
             result = sse_chain_search(*args).to_json_obj()
+        for s in sides:
+            s.expand_to(args[2])
         return result, [[set(layer) for layer in s.layers] for s in sides]
 
     outcomes = []
@@ -877,6 +896,40 @@ def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     assert len(set(keyed)) == len(keyed)  # no side keys a matrix twice
     assert [len(side.states) for side in sides] == [197, 317]
     assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22, 174], [1, 26, 290]]
+
+
+def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_loops, two_loops_composite):
+    # The one-vertex two-loop graph against its 3-vertex composite meets at
+    # depth pair (2, 0).  The pair order asks for (1, 1) and (0, 2) first;
+    # both are skipped unexpanded, as side 2's layers there have at least 4
+    # and 5 vertices and side 1's have 2 and 1.  Expanding every pair, these
+    # bounds keyed 71 and 675 matrices.
+    keyed = []
+    sides = []
+    canonical = search.canonical_key_of_counts
+
+    def key(m):
+        keyed.append(m)
+        return canonical(m)
+
+    class Side(search._SearchSide):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sides.append(self)
+
+    monkeypatch.setattr(search, "canonical_key_of_counts", key)
+    monkeypatch.setattr(search, "_SearchSide", Side)
+    for (max_steps, max_vertices), keys, layers in [
+        ((2, 5), 22, [[1, 1, 3], [1, 13]]),
+        ((3, 10), 23, [[1, 1, 3], [1, 14]]),
+    ]:
+        keyed.clear()
+        sides.clear()
+        result = sse_chain_search(two_loops[0], two_loops_composite, max_steps, max_vertices)
+        assert (result.status, result.total_steps, result.truncated_by_vertex_bound) == ("found", 2, True)
+        assert len(keyed) == keys
+        # side 2 reaches layer 1 only for the flag, which covers layers 0 and 1
+        assert [[len(layer) for layer in side.layers] for side in sides] == layers
 
 
 def test_chain_search_bounds_validated(fork):
