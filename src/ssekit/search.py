@@ -25,13 +25,16 @@ vertices than its parent, since the one move that keeps every vertex
 rebuilds the parent.  So a depth pair whose layers cannot share a vertex
 count cannot meet, and the search skips it without expanding either side;
 the vertex-bound flag it reports is that of a search that expanded every
-pair.
+pair.  Flag and frontier are read lazily: a side builds a layer for the
+flag only when no shallower state has a split over the bound, and tells
+whether its deepest layer holds a state by keying the children of the
+layer above up to the first new one, without building that layer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
     DirectedMultigraph,
@@ -125,8 +128,9 @@ class _SearchSide:
     ``layers[d]`` holds the states first reached at depth d.  Each has its
     parent in layer d - 1 and more vertices than it, so the layers reached
     bound the vertex counts of deeper ones (``_vertex_counts``).  A side is
-    expanded only as far as the search needs; ``truncated_before`` gives
-    the vertex-bound flag of a side expanded further."""
+    expanded only as far as the search needs; ``truncated_before`` and
+    ``reaches`` answer for a side expanded further, building no layer past
+    the one that settles the answer.  ``_children`` is the one move loop."""
 
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
         self.max_vertices = max_vertices
@@ -147,16 +151,22 @@ class _SearchSide:
             state.graph = _build_split(parent, state.spec).graph
         return state.graph
 
+    def _children(self, key: tuple) -> Iterator[tuple]:
+        """``(child_key, counts, move, parts)`` for each move of the state,
+        in move order, keying each count matrix through ``keys``."""
+        state = self.states[key]
+        for move, parts in vector_splits(self._graph(state), self.max_parts, self.max_vertices):
+            counts = split_counts(state.counts, move, parts)
+            child_key = self.keys.get(counts)
+            if child_key is None:
+                child_key = self.keys[counts] = canonical_key_of_counts(counts)
+            yield child_key, counts, move, parts
+
     def expand_to(self, depth: int) -> None:
         while len(self.layers) <= depth:
             new_layer: list[tuple] = []
             for key in self.layers[-1]:
-                state = self.states[key]
-                for move, parts in vector_splits(self._graph(state), self.max_parts, self.max_vertices):
-                    counts = split_counts(state.counts, move, parts)
-                    child_key = self.keys.get(counts)
-                    if child_key is None:
-                        child_key = self.keys[counts] = canonical_key_of_counts(counts)
+                for child_key, counts, move, parts in self._children(key):
                     if child_key not in self.states:
                         self.states[child_key] = _State(counts, key, move, parts)
                         new_layer.append(child_key)
@@ -165,12 +175,24 @@ class _SearchSide:
     def truncated_before(self, depth: int) -> bool:
         """Whether a state in layers 0..depth-1 has a move over the vertex
         bound: the flag a search that expanded this side to ``depth``
-        reports.  Reaches layer depth-1, not depth."""
+        reports.  Layers are reached one at a time, and the scan stops at
+        the first such state, so at most layer depth-1 is reached."""
+        for d in range(depth):
+            self.expand_to(d)
+            for key in self.layers[d]:
+                if widest_split_vertex_count(self.states[key].counts, self.max_parts) > self.max_vertices:
+                    return True
+        return False
+
+    def reaches(self, depth: int) -> bool:
+        """Whether layer ``depth`` holds a state.  If it is not reached yet,
+        layer depth-1's children are keyed in order up to the first that is
+        not a state; layer ``depth`` itself is not built."""
+        if depth < len(self.layers):
+            return bool(self.layers[depth])
         self.expand_to(depth - 1)
         return any(
-            widest_split_vertex_count(self.states[key].counts, self.max_parts) > self.max_vertices
-            for layer in self.layers[:depth]
-            for key in layer
+            child_key not in self.states for key in self.layers[-1] for child_key, *_ in self._children(key)
         )
 
     def leg(self, key: tuple) -> list[ChainStep]:
@@ -225,8 +247,11 @@ def sse_chain_search(
     ``truncated_by_vertex_bound`` still reports what expanding every pair
     would: whether a state in layers 0..D-1 of either side has a split over
     ``max_vertices``, D being the deepest depth the pair order asked of that
-    side, skipped pairs included.  An absent result expands both sides to
-    those depths before it picks its reason.
+    side, skipped pairs included.  It is read layer by layer, and the scan
+    stops at the first such state.  An absent result with the flag set is
+    ``depth-bound-reached`` whatever the frontier; otherwise the reason
+    asks whether layer D of either side holds a state, keying layer D-1's
+    children up to the first new one rather than building layer D.
     """
     if max_steps < 0:
         raise GraphError("max_steps must be nonnegative")
@@ -277,11 +302,9 @@ def sse_chain_search(
                     or side2.truncated_before(deepest2),
                 )
 
-    side1.expand_to(deepest1)
-    side2.expand_to(deepest2)
     truncated = side1.truncated_before(deepest1) or side2.truncated_before(deepest2)
-    frontier_open = bool(side1.layers[deepest1]) or bool(side2.layers[deepest2])
-    if frontier_open or truncated:
+    # a cut move leaves the depth bound the reason whatever the frontier
+    if truncated or side1.reaches(deepest1) or side2.reaches(deepest2):
         reason = "depth-bound-reached"
     else:
         reason = "search-space-exhausted"

@@ -9,6 +9,8 @@ import pytest
 import ssekit
 from ssekit import (
     EdgeFunction,
+    NonnegIntMatrix,
+    graph_from_matrix,
     serialize_graph,
     witness_to_json_obj,
 )
@@ -481,6 +483,36 @@ def test_matrix_search_pinned_row_is_refuted_at_once(files):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["status"] == "absent"
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, 3], [2, 1]], [[1, 6], [1, 1]]),  # Williams' pair
+        ([[0, 1], [3, 2]], [[1, 2], [2, 1]]),  # Bowen-Franks groups Z/4 and Z/2 + Z/2
+    ],
+)
+def test_chain_search_hard_absent_probes_answer_quickly(files, a, b):
+    # A state of depth 1 has a split over 6 vertices, so the flag is set and
+    # the reason is depth-bound-reached without building layer 3 to see
+    # whether it holds a state.  Building it took about 21 s on Williams'
+    # pair and 2.8 s on the other (2-vCPU host).
+    paths = [
+        _write(files["tmp"] / f"{name}.graph", serialize_graph(graph_from_matrix(NonnegIntMatrix.from_entries(m))))
+        for name, m in (("a", a), ("b", b))
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssekit", "chain-search", *paths, "--max-steps", "3", "--max-vertices", "6"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "status": "absent",
+        "reason": "depth-bound-reached",
+        "truncated_by_vertex_bound": True,
+    }
 
 
 def test_chain_search_cli(run, files):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -758,6 +759,10 @@ class _UnboundedEnumerationSide:
         self.expand_to(depth)
         return any(self.cut[:depth])
 
+    def reaches(self, depth):
+        self.expand_to(depth)
+        return bool(self.layers[depth])
+
     def leg(self, key):
         steps = []
         graph, parent, move, spec = self.states[key]
@@ -865,6 +870,10 @@ def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     # labelled edge partitions overcount its moves.  Searched by labelled
     # specs, these bounds keyed 10,560 children; by vector partitions, each
     # distinct count matrix is keyed once per side, the two roots included.
+    # Every depth pair that reaches layer 2 is apart in vertex count, and a
+    # layer-1 state of side 1 has a split over the bound, so the flag and
+    # the reason are settled without layer 2: building it for them keyed
+    # 551 matrices and layers [[1, 22, 174], [1, 26, 290]].
     from ssekit import graph_from_matrix
 
     keyed = []  # (side, matrix) per call
@@ -892,10 +901,42 @@ def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     b = graph_from_matrix(_mat([[1, 6], [1, 1]]))
     result = sse_chain_search(a, b, max_steps=2, max_vertices=4)
     assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", True)
-    assert len(keyed) == 551
+    assert len(keyed) == 50
     assert len(set(keyed)) == len(keyed)  # no side keys a matrix twice
-    assert [len(side.states) for side in sides] == [197, 317]
-    assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22, 174], [1, 26, 290]]
+    assert [len(side.states) for side in sides] == [23, 27]
+    assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22], [1, 26]]
+
+
+def test_chain_search_frontier_keys_up_to_the_first_new_child(monkeypatch):
+    # Williams' pair with two parts and 8 vertices: no state in layers 0
+    # and 1 has a split over the bound, so the reason rests on whether
+    # layer 2 holds a state.  Side 1's first layer-1 state has a child that
+    # is new, which answers it: one matrix is keyed past the 50 of layers
+    # 0 and 1, and layer 2 is not built.  Building both layers 2 for the
+    # reason keyed 28,418 matrices and took about 2 s.
+    from ssekit import graph_from_matrix
+
+    keyed = []
+    sides = []
+    canonical = search.canonical_key_of_counts
+
+    def key(m):
+        keyed.append(m)
+        return canonical(m)
+
+    class Side(search._SearchSide):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sides.append(self)
+
+    monkeypatch.setattr(search, "canonical_key_of_counts", key)
+    monkeypatch.setattr(search, "_SearchSide", Side)
+    a = graph_from_matrix(_mat([[1, 3], [2, 1]]))
+    b = graph_from_matrix(_mat([[1, 6], [1, 1]]))
+    result = sse_chain_search(a, b, max_steps=2, max_vertices=8, max_parts=2)
+    assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", False)
+    assert len(keyed) == 51
+    assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22], [1, 26]]
 
 
 def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_loops, two_loops_composite):
@@ -903,7 +944,11 @@ def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_l
     # depth pair (2, 0).  The pair order asks for (1, 1) and (0, 2) first;
     # both are skipped unexpanded, as side 2's layers there have at least 4
     # and 5 vertices and side 1's have 2 and 1.  Expanding every pair, these
-    # bounds keyed 71 and 675 matrices.
+    # bounds keyed 71 and 675 matrices.  The flag is read layer by layer and
+    # stops at the first state with a split over the bound: at 5 vertices
+    # side 2's root has one, so side 2 never builds layer 1 (building it for
+    # the flag keyed 22 matrices and 13 states there); at 10 it has none,
+    # so layer 1 is built.
     keyed = []
     sides = []
     canonical = search.canonical_key_of_counts
@@ -920,7 +965,7 @@ def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_l
     monkeypatch.setattr(search, "canonical_key_of_counts", key)
     monkeypatch.setattr(search, "_SearchSide", Side)
     for (max_steps, max_vertices), keys, layers in [
-        ((2, 5), 22, [[1, 1, 3], [1, 13]]),
+        ((2, 5), 9, [[1, 1, 3], [1]]),
         ((3, 10), 23, [[1, 1, 3], [1, 14]]),
     ]:
         keyed.clear()
@@ -928,8 +973,75 @@ def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_l
         result = sse_chain_search(two_loops[0], two_loops_composite, max_steps, max_vertices)
         assert (result.status, result.total_steps, result.truncated_by_vertex_bound) == ("found", 2, True)
         assert len(keyed) == keys
-        # side 2 reaches layer 1 only for the flag, which covers layers 0 and 1
         assert [[len(layer) for layer in side.layers] for side in sides] == layers
+
+
+def test_side_reads_flag_and_frontier_as_eager_expansion_does():
+    # The eager reading builds every layer first: to depth - 1 for the flag,
+    # to depth for the frontier.  The lazy one must give the same answers,
+    # and the frontier test must not build the layer it asks about.
+    from ssekit.corpus import random_graph
+    from ssekit.splits import widest_split_vertex_count
+
+    rng = random.Random(26)
+    checked = set()
+    for _ in range(120):
+        g = random_graph(rng, max_vertices=3, max_edges=5)
+        max_vertices, max_parts, depth = rng.randint(1, 7), rng.randint(1, 3), rng.randint(0, 3)
+        eager = search._SearchSide(g, max_vertices, max_parts)
+        eager.expand_to(depth)
+        truncated = any(
+            widest_split_vertex_count(eager.states[key].counts, max_parts) > max_vertices
+            for layer in eager.layers[:depth]
+            for key in layer
+        )
+        assert search._SearchSide(g, max_vertices, max_parts).truncated_before(depth) == truncated
+        lazy = search._SearchSide(g, max_vertices, max_parts)
+        assert lazy.reaches(depth) == bool(eager.layers[depth])
+        assert len(lazy.layers) == max(depth, 1)  # layer depth is not built, bar the root
+        # the frontier test on a side that has built the layer reads it
+        assert eager.reaches(depth) == bool(eager.layers[depth])
+        checked.add((truncated, bool(eager.layers[depth])))
+    assert checked == {(t, r) for t in (True, False) for r in (True, False)}
+
+
+def _chain_search_queries(count):
+    """Seeded chain-search queries: half random pairs, half a graph against
+    one or two random splits of it, over a range of bounds."""
+    from ssekit.corpus import random_graph, random_split_spec
+
+    rng = random.Random(2026)
+    for i in range(count):
+        e1 = random_graph(rng, 3, 5)
+        e2 = e1
+        if i % 2:
+            for _ in range(rng.randint(1, 2)):
+                e2 = split_apply(e2, random_split_spec(rng, e2, rng.choice(("insplit", "outsplit")), 2)).graph
+        else:
+            e2 = random_graph(rng, 3, 5)
+        yield e1, e2, rng.randint(0, 4), rng.randint(1, 7), rng.randint(1, 3)
+
+
+def test_chain_search_matches_pinned_digest_on_random_queries():
+    # The SHA-256 of the JSON of these 600 queries (seed 2026), recorded on
+    # the search that built both sides to their deepest layers before it
+    # read the vertex-bound flag and the frontier.  There the corpus took
+    # two minutes or more, nearly all of it on one max_steps=3 query.
+    digest = hashlib.sha256()
+    outcomes = set()
+    for query in _chain_search_queries(600):
+        obj = sse_chain_search(*query).to_json_obj()
+        digest.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+        outcomes.add((obj.get("reason", "found"), obj["truncated_by_vertex_bound"]))
+    assert outcomes >= {
+        ("found", False),
+        ("found", True),
+        ("depth-bound-reached", False),
+        ("depth-bound-reached", True),
+        ("search-space-exhausted", False),
+        ("invariant-mismatch", False),
+    }
+    assert digest.hexdigest() == "9c0a7de759de53f25ea853590ed1ba507c2c13fa75f0b99ad9cfd53fbeddd77c"
 
 
 def test_chain_search_bounds_validated(fork):
