@@ -2,17 +2,17 @@
 
 The number of bi-infinite edge sequences of period n equals the trace of the
 n-th power of the adjacency matrix.  Strong shift equivalence preserves every
-such trace (tr((RS)^n) = tr((SR)^n)), so disagreeing profiles rule a pair out;
-agreeing profiles prove nothing.  Traces grow exponentially, hence exact
-arbitrary-precision integers throughout.  A profile up to period n costs
-ceil(n/2) - 1 sparse matrix products (``NonnegIntMatrix.power_traces``).
+such trace (tr((RS)^n) = tr((SR)^n)), so a mismatch rules a pair out; equal
+traces prove nothing.  ``trace_mismatch`` is the one such refutation, shared by
+both searches.  Traces grow exponentially, hence exact integers throughout; a
+profile up to period n costs ceil(n/2) - 1 sparse products (``power_traces``).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import DirectedMultigraph, GraphError, adjacency_matrix
+from .graphs import DirectedMultigraph, GraphError, NonnegIntMatrix, adjacency_matrix
 
 
 class PeriodicPointProfile(NamedTuple):
@@ -47,16 +47,26 @@ def periodic_point_profile(g: DirectedMultigraph, n_max: int) -> PeriodicPointPr
     return PeriodicPointProfile(n_max, adjacency_matrix(g).power_traces(n_max))
 
 
-def sse_invariant_filter(
-    g1: DirectedMultigraph, g2: DirectedMultigraph, n_max: int
-) -> InvariantFilterResult:
+def sse_invariant_filter(g1: DirectedMultigraph, g2: DirectedMultigraph, n_max: int) -> InvariantFilterResult:
     """Compare profiles; fail at the first period where they differ.
 
-    Passing is necessary but never sufficient for strong shift equivalence.
+    Passing is necessary but never sufficient for strong shift equivalence,
+    and below ``trace_mismatch``'s complete period it can miss a mismatch.
     """
-    p1 = periodic_point_profile(g1, n_max)
-    p2 = periodic_point_profile(g2, n_max)
-    for n in range(n_max):
-        if p1.traces[n] != p2.traces[n]:
-            return InvariantFilterResult(False, n + 1, p1, p2)
-    return InvariantFilterResult(True, None, p1, p2)
+    p1, p2 = periodic_point_profile(g1, n_max), periodic_point_profile(g2, n_max)
+    n = _first_mismatch(p1.traces, p2.traces)
+    return InvariantFilterResult(n is None, n, p1, p2)
+
+
+def trace_mismatch(a: NonnegIntMatrix, b: NonnegIntMatrix) -> int | None:
+    """The least period n <= N = max(dim A, dim B, 1) with tr(A^n) != tr(B^n), or None.
+
+    N is complete: tr(A^j) is the j-th power sum of A's eigenvalues, and the power
+    sums p_1 .. p_N of at most N numbers fix all later ones (Newton's identities).
+    """
+    n = max(a.nrows, b.nrows, 1)
+    return _first_mismatch(a.power_traces(n), b.power_traces(n))
+
+
+def _first_mismatch(t1: tuple[int, ...], t2: tuple[int, ...]) -> int | None:
+    return next((n for n, (x, y) in enumerate(zip(t1, t2), 1) if x != y), None)

@@ -2,8 +2,8 @@
 
 Both endpoints grow forward under insplits and outsplits until the two
 frontiers reach isomorphic graphs.  Every split is an elementary SSE, so it
-preserves ``tr(A^n)`` for every n: the endpoints are compared on their
-periodic-point profiles once, and children are never re-checked.
+preserves ``tr(A^n)`` for every n: the endpoints are compared once by
+``invariants.trace_mismatch``, and children are never re-checked.
 
 The search runs on count matrices: a split of A is A = D·E with split
 matrix B = E·D (Lind & Marcus, *An Introduction to Symbolic Dynamics and
@@ -40,10 +40,11 @@ from .graphs import (
     DirectedMultigraph,
     GraphError,
     _count_matrix,
+    adjacency_matrix,
     canonical_key_of_counts,
     graph_to_json_obj,
 )
-from .invariants import sse_invariant_filter
+from .invariants import trace_mismatch
 from .splits import (
     Classes,
     SplitSpec,
@@ -218,10 +219,8 @@ def sse_chain_search(
     Both endpoints grow forward under all insplits and outsplits (classes per
     vertex capped by ``max_parts``, intermediate graphs by ``max_vertices``);
     frontiers are keyed by graph canonical form, so legs meet exactly when
-    they reach isomorphic graphs.  The endpoints' periodic-point profiles up
-    to period max(|V1|, |V2|, 1), which fix every later trace by Newton's
-    identities, are compared first and a mismatch refutes at once; splits
-    preserve the profile.  Absence within the bounds decides nothing.
+    they reach isomorphic graphs, unless a ``trace_mismatch`` of the
+    endpoints refutes first.  Absence within the bounds decides nothing.
 
     The bounds are the only throttle: the number of moves per state is the
     product of per-vertex vector-partition counts (partitions of a vertex's
@@ -258,13 +257,9 @@ def sse_chain_search(
     if max_vertices < 1 or max_parts < 1:
         raise GraphError("max_vertices and max_parts must be at least 1")
 
-    inv = sse_invariant_filter(e1, e2, max(len(e1.vertices), len(e2.vertices), 1))
-    if not inv.passed:
-        return ChainSearchResult(
-            "absent",
-            reason="invariant-mismatch",
-            mismatch_period=inv.first_mismatch,
-        )
+    period = trace_mismatch(adjacency_matrix(e1), adjacency_matrix(e2))
+    if period is not None:
+        return ChainSearchResult("absent", reason="invariant-mismatch", mismatch_period=period)
 
     side1 = _SearchSide(e1, max_vertices, max_parts)
     side2 = _SearchSide(e2, max_vertices, max_parts)

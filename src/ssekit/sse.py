@@ -34,6 +34,7 @@ from .graphs import (
     parse_json,
     paths_between,
 )
+from .invariants import trace_mismatch
 
 
 class WitnessReferenceError(GraphError):
@@ -308,8 +309,10 @@ def find_theta_bijections(
     number of outer edges must equal the number of length-2 paths between the
     mapped vertices.  When all fibers match, both are paired in lexicographic
     order (edge ids against path edge-id sequences); any mismatch returns None.
+    As in ``verify_sse_witness``, vmap keys outside e1/e2 raise.
     """
     probe = SseWitness(e3, tuple(side1), tuple(side2), tuple(e21), tuple(e12), dict(vmap1), dict(vmap2), {}, {})
+    _check_witness_references(e1, e2, probe)
     ok1, prob1 = _condition_vertex_partition(probe, e1, e2)
     ok2, prob2 = _condition_edge_bipartition(probe)
     if not (ok1 and ok2):
@@ -604,14 +607,8 @@ def matrix_essse_search(
     A*R = R*B, which every solution satisfies (A*R = R*S*R = R*B), then, for
     each R whose row sums times the bound reach the largest entry of A's
     matching row ((R*S)(i, j) <= sum(R row i) * bound), S under R*S = A and
-    S*R = B, which are linear in S once R is fixed.
-
-    Before any R is tried, the pair is refuted when tr(A^j) != tr(B^j) for
-    some j <= N = max(dim A, dim B): tr((RS)^j) = tr((SR)^j) for every j.
-    Stopping at N is complete.  The power sums p_1 .. p_N of a multiset of
-    at most N numbers determine its elementary symmetric functions (Newton's
-    identities), so equal traces up to N mean equal nonzero spectra, and
-    those fix every later trace.
+    S*R = B, which are linear in S once R is fixed.  A ``trace_mismatch``
+    refutes the pair before any R is tried.
     """
     if not a.square or not b.square:
         raise GraphError("search needs square A and B")
@@ -620,7 +617,7 @@ def matrix_essse_search(
     m = _entry_bound(a, b, entry_bound)
     if m < 0:
         raise GraphError("entry bound must be nonnegative")
-    if a.power_traces(max(n, k)) != b.power_traces(max(n, k)):
+    if trace_mismatch(a, b) is not None:
         return None
     # (A*R - R*B)(i, j) = 0 on the flat R: R(l, t) has coefficient
     # A(i, l) [t = j] - B(t, j) [l = i].

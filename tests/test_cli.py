@@ -259,6 +259,29 @@ def test_theta_search_non_string_side_is_usage_error(run, files):
     assert out == "" and "error:" in err
 
 
+def test_theta_search_stray_vmap_key_is_usage_error_like_sse_verify(run, tmp_path):
+    e1 = {"vertices": ["a"], "edges": [{"id": "l", "src": "a", "rng": "a"}]}
+    e2 = {"vertices": ["b"], "edges": [{"id": "m", "src": "b", "rng": "b"}]}
+    e3 = {
+        "vertices": ["x", "y", "z"],
+        "edges": [{"id": "p", "src": "x", "rng": "y"}, {"id": "q", "src": "y", "rng": "x"}],
+    }
+    sides = {
+        "side1": ["x", "z"], "side2": ["y"], "e21": ["p"], "e12": ["q"],
+        "vmap1": {"a": "x", "zz": "z"}, "vmap2": {"b": "y"},
+    }
+    witness = dict(sides, e3=e3, theta1={"l": ["q", "p"]}, theta2={"m": ["p", "q"]})
+    paths = {
+        name: _write(tmp_path / name, json.dumps(obj))
+        for name, obj in (("e1", e1), ("e2", e2), ("e3", e3), ("sides", sides), ("witness", witness))
+    }
+    theta = run("theta-search", paths["e1"], paths["e2"], paths["e3"], "--sides", paths["sides"])
+    verify = run("sse-verify", paths["e1"], paths["e2"], "--witness", paths["witness"])
+    for code, out, err in (theta, verify):
+        assert code == 2
+        assert out == "" and "vmap1 keyed by unknown side-1 vertex 'zz'" in err
+
+
 def test_lift_infeasible_exit_1(run, files):
     code, out, _ = run("lift", "--witness", files["tl_w"], "--g", files["tl_bad"])
     assert code == 1

@@ -170,6 +170,26 @@ def test_find_theta_precondition(fork):
         find_theta_bijections(e1, e2, e3, w.side1[:-1], w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
 
 
+def _stray_key_sides():
+    """One loop on each side, an intermediate 2-cycle plus an isolated z, and a
+    vmap1 key ``zz`` that names no vertex of e1."""
+    e1 = DirectedMultigraph(("a",), (Edge("l", "a", "a"),))
+    e2 = DirectedMultigraph(("b",), (Edge("m", "b", "b"),))
+    e3 = DirectedMultigraph(("x", "y", "z"), (Edge("p", "x", "y"), Edge("q", "y", "x")))
+    return e1, e2, e3, ("x", "z"), ("y",), ("p",), ("q",), {"a": "x", "zz": "z"}, {"b": "y"}
+
+
+def test_find_theta_rejects_vmap_keys_outside_the_outer_graphs():
+    e1, e2, e3, side1, side2, e21, e12, vmap1, vmap2 = _stray_key_sides()
+    with pytest.raises(WitnessReferenceError, match="vmap1 keyed by unknown side-1 vertex 'zz'"):
+        find_theta_bijections(e1, e2, e3, side1, side2, e21, e12, vmap1, vmap2)
+    with pytest.raises(WitnessReferenceError, match="vmap2 keyed by unknown side-2 vertex 'bb'"):
+        find_theta_bijections(e1, e2, e3, side1, side2, e21, e12, {"a": "x"}, {"b": "y", "bb": "z"})
+    # the stray key was what made vmap1 onto its side; without z the sides hold
+    cycle = DirectedMultigraph(("x", "y"), e3.edges)
+    assert find_theta_bijections(e1, e2, cycle, ("x",), side2, e21, e12, {"a": "x"}, vmap2) is not None
+
+
 # -- matrix formulation -----------------------------------------------------------
 
 
