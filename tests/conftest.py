@@ -12,6 +12,8 @@
   with the message that rejects it.
 * two_loops_composite: two_loops' complete 2-vertex graph outsplit at one
   vertex, two splits from the one-vertex graph.
+* fork_misfits: the fork witness with sides, classes, vertex maps and
+  sources broken so that it fails every condition-1, -2 and -4 check.
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ def fork():
         },
     )
     return e1, e2, e3, witness
+
+
+@pytest.fixture(scope="session")
+def fork_misfits(fork):
+    """The fork witness broken so that every partition, vertex-map, edge
+    direction and source check fails at least once (theta1/theta2 are the
+    fork's own).  Added to its intermediate graph: a source s with two edges,
+    a source u whose edge is not the only one into x, and an isolated t."""
+    _, _, e3, w = fork
+    extra = (Edge("s>y", "s", "y"), Edge("s>Y", "s", "Y"), Edge("u>x", "u", "x"))
+    return w._replace(
+        e3=DirectedMultigraph(e3.vertices + ("s", "t", "u"), e3.edges + extra),
+        side1=("w", "x", "x", "y", "z", "ghost", "u"),
+        side2=("W", "X1", "X2", "Y", "Z", "u"),
+        e21=("w>W", "x>X1", "x>X1", "x>X2", "y>Y", "z>Z", "X2>z", "bogus"),
+        e12=("W>x", "X1>y", "X2>z", "s>y"),
+        vmap1={"w": "w", "x": "w"},
+        vmap2={"W": "W", "X1": "W"},
+    )
 
 
 @pytest.fixture(scope="session")

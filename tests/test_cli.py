@@ -282,6 +282,32 @@ def test_theta_search_stray_vmap_key_is_usage_error_like_sse_verify(run, tmp_pat
         assert out == "" and "vmap1 keyed by unknown side-1 vertex 'zz'" in err
 
 
+def test_theta_search_partition_errors_name_every_misfit(run, files, fork_misfits):
+    # sse-verify prints these as failed conditions 1 and 2 (golden case
+    # sse_verify_partition_fail); theta-search cannot pair paths without
+    # them and rejects the sides with the same messages in the same order.
+    w = fork_misfits
+    e3 = _write(files["tmp"] / "misfits.graph", serialize_graph(w.e3))
+    sides = {key: list(getattr(w, key)) for key in ("side1", "side2", "e21", "e12")}
+    sides.update(vmap1=dict(w.vmap1), vmap2=dict(w.vmap2))
+    path = _write(files["tmp"] / "misfits.sides", json.dumps(sides))
+    code, out, err = run("theta-search", files["fork_e1"], files["fork_e2"], e3, "--sides", path)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: sides/classes do not satisfy the partition conditions: "
+        "a side lists a vertex twice; sides overlap: ['u']; "
+        "side members missing from the intermediate graph: ['ghost']; "
+        "vertices on neither side: ['s', 't']; "
+        "vmap1 misses vertices: ['y', 'z']; vmap1 is not injective; vmap1 is not onto its side; "
+        "vmap2 misses vertices: ['X2', 'Y', 'Z']; vmap2 is not injective; vmap2 is not onto its side; "
+        "an edge class lists an edge twice; edge classes overlap: ['X2>z']; "
+        "class members missing from the intermediate graph: ['bogus']; "
+        "edges in neither class: ['s>Y', 'u>x']; "
+        "e21 edge 'X2>z' does not run side1 -> side2; "
+        "e12 edge 's>y' does not run side2 -> side1\n"
+    )
+
+
 def test_lift_infeasible_exit_1(run, files):
     code, out, _ = run("lift", "--witness", files["tl_w"], "--g", files["tl_bad"])
     assert code == 1
@@ -614,15 +640,15 @@ def test_usage_error_exit_2(run):
     assert code == 2
     code, _, _ = run("lift", "--witness", "missing.witness")  # missing required --g
     assert code == 2
-    for argv in (
-        ("--count", "-1"),
-        ("--max-vertices", "0"),
-        ("--max-vertices", "-2"),
-        ("--count", "2", "--max-edges", "-1"),
+    for argv, message in (
+        (("--count", "-1"), "--count must be nonnegative"),
+        (("--max-vertices", "0"), "--max-vertices must be positive"),
+        (("--max-vertices", "-2"), "--max-vertices must be positive"),
+        (("--count", "2", "--max-edges", "-1"), "--max-edges must be nonnegative"),
     ):
         code, out, err = run("corpus", *argv)
         assert code == 2
-        assert out == "" and "error:" in err
+        assert out == "" and err == f"error: {message}\n"
 
 
 def test_console_entry_point(files):

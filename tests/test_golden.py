@@ -51,6 +51,8 @@ CASES = {
     ],
     "sse_verify_pass": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_w}"],
     "sse_verify_fail": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_broken_w}"],
+    # every condition-1, -2 and -4 message at once
+    "sse_verify_partition_fail": ["sse-verify", "{fork_e1}", "{fork_e2}", "--witness", "{fork_misfits_w}"],
     "theta_search_found": ["theta-search", "{tl_e1}", "{tl_e2}", "{tl_e3}", "--sides", "{tl_sides}"],
     "theta_search_absent": [
         "theta-search", "{tl_e1}", "{tl_e2}", "{tl_stripped}", "--sides", "{tl_stripped_sides}",
@@ -96,7 +98,7 @@ def _write(path: pathlib.Path, text: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
+def inputs(tmp_path_factory, fork, fork_misfits, loop_feed, fan, two_loops, funnel):
     d = tmp_path_factory.mktemp("golden")
     e1, e2, _, w = fork
     g_loop, f_loop, spec_loop = loop_feed
@@ -127,6 +129,7 @@ def inputs(tmp_path_factory, fork, loop_feed, fan, two_loops, funnel):
         "fork_e2": serialize_graph(e2),
         "fork_w": json.dumps(witness_to_json_obj(w)),
         "fork_broken_w": json.dumps(witness_to_json_obj(broken)),
+        "fork_misfits_w": json.dumps(witness_to_json_obj(fork_misfits)),
         "fork_spec": json.dumps({"kind": "outsplit", "parts": {"x": [["f"], ["g"]]}}),
         "fork_f": json.dumps({"weights": {"e": 5, "f": -2, "g": 7}}),
         "loop": serialize_graph(g_loop),

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -530,6 +531,131 @@ def test_witness_from_random_factorizations():
         assert ppp(bundle.e1, 6).traces == ppp(bundle.e2, 6).traces
         passed += 1
     assert passed > 0
+
+
+def _mutated_split_witnesses(count):
+    """Seeded (e1, e2, witness) triples: a split witness of a small random
+    graph broken by one to three random edits of its sides, edge classes,
+    vertex maps, theta pairs or intermediate graph."""
+    from ssekit.corpus import random_graph, random_split_spec
+    from ssekit.splits import split_witness
+
+    rng = random.Random(3030)
+
+    def edit_list(items, other, stray):
+        items = list(items)
+        op = rng.randrange(4) if items else 2
+        if op == 0:
+            items.append(rng.choice(items))  # listed twice
+        elif op == 1:
+            items.remove(rng.choice(items))  # on neither list
+        elif op == 2:
+            items.append(stray)  # not in the intermediate graph
+        elif other:
+            items.append(rng.choice(other))  # on both lists
+        return tuple(items)
+
+    def edit(w):
+        e3 = w.e3
+        vertices, edge_ids = list(e3.vertices), list(e3.edge_ids())
+        field = rng.choice(("side1", "side2", "e21", "e12", "vmap1", "vmap2", "theta1", "theta2", "e3"))
+        if field in ("side1", "side2", "e21", "e12"):
+            other = {"side1": "side2", "side2": "side1", "e21": "e12", "e12": "e21"}[field]
+            stray = "ghost" if field.startswith("side") else "bogus"
+            return w._replace(**{field: edit_list(getattr(w, field), getattr(w, other), stray)})
+        if field.startswith("vmap"):
+            vmap = dict(getattr(w, field))
+            if vmap:
+                key = rng.choice(sorted(vmap))
+                if rng.random() < 0.5:
+                    del vmap[key]
+                else:
+                    vmap[key] = rng.choice(vertices)
+            return w._replace(**{field: vmap})
+        if field.startswith("theta"):
+            theta = dict(getattr(w, field))
+            if theta:
+                key = rng.choice(sorted(theta))
+                op = rng.randrange(4)
+                if op == 0:
+                    del theta[key]
+                elif op == 1:
+                    theta[key] = theta[key][::-1]
+                elif op == 2:
+                    theta[key] = theta[rng.choice(sorted(theta))]
+                else:
+                    theta[key] = (theta[key][0], rng.choice(edge_ids + ["bogus"]))
+            return w._replace(**{field: theta})
+        op = rng.randrange(3)
+        edges = list(e3.edges)
+        if op == 0 and edges:
+            edges.remove(rng.choice(edges))
+        elif op == 1:
+            edges.append(Edge(f"new{len(edges)}", rng.choice(vertices), rng.choice(vertices)))
+        else:
+            source = f"src{len(vertices)}"  # a source emitting no edge, or one
+            vertices.append(source)
+            if rng.random() < 0.5:
+                edges.append(Edge(f"{source}>", source, rng.choice(vertices)))
+        return w._replace(e3=DirectedMultigraph(tuple(vertices), tuple(edges)))
+
+    for _ in range(count):
+        g = random_graph(rng, 4, 6)
+        bundle = split_witness(g, random_split_spec(rng, g, rng.choice(("insplit", "outsplit")), 2))
+        w = bundle.witness
+        for _ in range(rng.randint(1, 3)):
+            w = edit(w)
+        yield g, bundle.e2, w
+
+
+def test_witness_checks_match_pinned_digest_on_mutated_split_witnesses():
+    # The SHA-256 of sse-verify's JSON and theta-search's result or error
+    # text on 3,000 mutated split witnesses (seed 3030), recorded on the
+    # checker that wrote its four partition checks out once for the sides
+    # and once for the edge classes.
+    digest = hashlib.sha256()
+    messages = set()
+    theta_outcomes = set()
+    for e1, e2, w in _mutated_split_witnesses(3000):
+        report = verify_sse_witness(e1, e2, w)
+        messages.update(
+            (condition, re.sub(r"\[.*\]|'[^']*'|(?<= )\d+(?= )", "_", text))
+            for condition, texts in report.problems.items()
+            for text in texts
+        )
+        try:
+            found = find_theta_bijections(e1, e2, w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
+        except GraphError as exc:
+            theta = str(exc)
+            theta_outcomes.add("error")
+        else:
+            theta = found
+            theta_outcomes.add("absent" if found is None else "found")
+        digest.update(json.dumps([report.to_json_obj(), theta]).encode() + b"\n")
+    assert {text for condition, text in messages if condition in ("condition1", "condition2")} == {
+        "a side lists a vertex twice",
+        "sides overlap: _",
+        "side members missing from the intermediate graph: _",
+        "vertices on neither side: _",
+        "vmap1 misses vertices: _",
+        "vmap1 is not injective",
+        "vmap1 is not onto its side",
+        "vmap2 misses vertices: _",
+        "vmap2 is not injective",
+        "vmap2 is not onto its side",
+        "an edge class lists an edge twice",
+        "edge classes overlap: _",
+        "class members missing from the intermediate graph: _",
+        "edges in neither class: _",
+        "e21 edge _ does not run side1 -> side2",
+        "e12 edge _ does not run side2 -> side1",
+    }
+    assert {text for condition, text in messages if condition == "condition4"} == {
+        "source _ emits _ edges instead of exactly one",
+        "source _: its edge _ is not the only edge into _",
+    }
+    assert theta_outcomes == {"found", "absent", "error"}
+    assert digest.hexdigest() == "3375ab517fe83d355dc4780282983fde410cf89a0a1bc916822dee9141211ce3"
 
 
 def test_find_theta_on_random_split_witnesses():

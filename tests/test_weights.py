@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from ssekit import (
     transport_g_from_h,
     witness_from_essse,
 )
-from ssekit.corpus import random_graph, random_split_spec
+from ssekit.corpus import random_edge_function, random_graph, random_split_spec
 from ssekit.splits import split_witness
 
 
@@ -331,3 +333,24 @@ def test_lift_agrees_with_brute_force_oracle():
             assert alt == outcome.alternating_sum != 0
         checked += 1
     assert feasible_seen and infeasible_seen
+
+
+def test_lift_matches_pinned_digest_on_random_split_witnesses():
+    # The SHA-256 of lift's JSON on 3,000 seeded split witnesses (seed 3030),
+    # g in -2..2 and, on every other witness, f too; recorded on the solver
+    # that found the certificate's common ancestor through two ancestor
+    # chains and a set.
+    rng = random.Random(3030)
+    digest = hashlib.sha256()
+    infeasible = longest = 0
+    for i in range(3000):
+        g = random_graph(rng, 5, 10)
+        bundle = split_witness(g, random_split_spec(rng, g, rng.choice(("insplit", "outsplit")), 2))
+        g2 = random_edge_function(rng, bundle.e2, -2, 2)
+        f = random_edge_function(rng, g, -2, 2) if i % 2 else None
+        obj = lift_edge_function(bundle.witness, g2, f).to_json_obj()
+        infeasible += obj["status"] == "infeasible"
+        longest = max(longest, len(obj.get("certificate", ())))
+        digest.update(json.dumps(obj).encode() + b"\n")
+    assert 1500 < infeasible < 3000 and longest >= 8  # certificates climb several tree levels
+    assert digest.hexdigest() == "78fd477a647df056980ced7b7e147f9edf7f2a2e2290c7ef7c64a8e25755ed9d"
