@@ -289,8 +289,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         ("--max-edges", args.max_edges >= 0, "nonnegative"),
     ):
         if not ok:
-            sys.stderr.write(f"error: {flag} must be {need}\n")
-            return EXIT_USAGE
+            raise GraphError(f"{flag} must be {need}")
     rng = random.Random(args.seed)
     graphs = [
         random_graph(rng, max_vertices=args.max_vertices, max_edges=args.max_edges)

@@ -11,24 +11,28 @@ Coding*, §2.4 and §7.2).  A state is a count matrix keyed by its canonical
 form, and a move is one vector partition per vertex, of its in-count column
 for an insplit or its out-count row for an outsplit, so parallel edges do
 not multiply the moves.  Moves often give a matrix already reached (the
-move with one class per vertex gives its parent's own), so each side keys
-each distinct count matrix once and looks the key up after.  Children are
-keyed from their count matrices without being built; a state builds its
-labelled graph from its parent's when it is expanded, or when a returned
-leg passes through it.  A move builds as the first labelled spec with its
-class vectors, which is the spec that first reaches the child in the
-labelled enumeration order, so the printed legs are those of a search over
-labelled specs.
+move with one class per vertex gives its parent's own), so each side keeps
+a key memo: it maps each count matrix reached, as a tuple of rows in the
+order it was computed in, to its canonical key, so each distinct matrix is
+keyed once and a move back to one costs a lookup.  Children are keyed from
+their count matrices without being built; a state builds its labelled
+graph from its parent's when it is expanded, or when a returned leg passes
+through it.  A move builds as the first labelled spec with its class
+vectors, which is the spec that first reaches the child in the labelled
+enumeration order, so the printed legs are those of a search over labelled
+specs.
 
 Splits only add vertices: a state first reached at depth d has more
 vertices than its parent, since the one move that keeps every vertex
-rebuilds the parent.  So a depth pair whose layers cannot share a vertex
-count cannot meet, and the search skips it without expanding either side;
-the vertex-bound flag it reports is that of a search that expanded every
-pair.  Flag and frontier are read lazily: a side builds a layer for the
-flag only when no shallower state has a split over the bound, and tells
-whether its deepest layer holds a state by keying the children of the
-layer above up to the first new one, without building that layer.
+rebuilds the parent.  So past a side's deepest reached layer k, layer d
+has at least the least vertex count of layer k plus d - k vertices, and a
+depth pair whose layers cannot share a vertex count cannot meet: the
+search skips it without expanding either side.  The vertex-bound flag it
+reports is that of a search that expanded every pair.  Flag and frontier
+are read lazily: a side builds a layer for the flag only when no shallower
+state has a split over the bound, and tells whether its deepest layer
+holds a state by keying the children of the layer above up to the first
+new one, without building that layer.
 """
 
 from __future__ import annotations
@@ -118,20 +122,13 @@ class _State:
 
 
 class _SearchSide:
-    """One endpoint's forward search.  A state is a count matrix keyed by
-    its canonical form; a move is a vector partition per vertex
-    (``vector_splits``).  ``keys`` maps each count matrix reached, as a
-    tuple of rows in the order it was computed in, to its canonical key, so
-    the side keys each distinct matrix once.  Children are keyed from their
-    count matrices without being built; each expanded state builds its
-    labelled graph from its parent's (``_graph``).
-
-    ``layers[d]`` holds the states first reached at depth d.  Each has its
-    parent in layer d - 1 and more vertices than it, so the layers reached
-    bound the vertex counts of deeper ones (``_vertex_counts``).  A side is
-    expanded only as far as the search needs; ``truncated_before`` and
-    ``reaches`` answer for a side expanded further, building no layer past
-    the one that settles the answer.  ``_children`` is the one move loop."""
+    """One endpoint's forward search, over the states and moves of the
+    module docstring.  ``keys`` is the side's key memo, and ``layers[d]``
+    holds the states first reached at depth d, each with its parent in
+    layer d - 1.  A side is expanded only as far as the search needs;
+    ``truncated_before`` and ``reaches`` answer for a side expanded further,
+    building no layer past the one that settles the answer.  ``_children``
+    is the one move loop."""
 
     def __init__(self, root: DirectedMultigraph, max_vertices: int, max_parts: int):
         self.max_vertices = max_vertices
@@ -229,20 +226,15 @@ def sse_chain_search(
     -- tighten the bounds before probing dense graphs.  Parallel edges add
     no moves.  ``max_vertices`` is applied inside that product, so moves
     over it are never tried; each remaining child's count matrix is
-    computed from the parent's, and each side keys each distinct count
-    matrix once, so a move back to a matrix already reached costs a lookup.
-    Children are keyed without being built: each expanded state builds its
-    labelled graph from its parent's, as do the states of the legs returned.
-    Depth pairs are explored balanced-first within each total step count, so
-    one-sided deep expansion happens only when nothing shallower meets; once
-    both frontiers are empty and no pair can meet, the search stops early.
+    computed from the parent's and keyed through the side's key memo
+    (module docstring).  Depth pairs are explored balanced-first within each
+    total step count, so one-sided deep expansion happens only when nothing
+    shallower meets; once both frontiers are empty and no pair can meet, the
+    search stops early.
 
     A depth pair whose two layers cannot share a vertex count is skipped
-    without expanding either side.  A state first reached at depth d has
-    more vertices than its parent (the move that keeps every vertex
-    rebuilds the parent), so past a side's deepest reached layer k, layer d
-    has at least the least count in layer k plus d - k vertices.  Each side
-    is then expanded only as far as a meeting needs.
+    without expanding either side (the growth bound of the module
+    docstring), so each side is expanded only as far as a meeting needs.
     ``truncated_by_vertex_bound`` still reports what expanding every pair
     would: whether a state in layers 0..D-1 of either side has a split over
     ``max_vertices``, D being the deepest depth the pair order asked of that
@@ -311,8 +303,8 @@ def sse_chain_search(
 def _vertex_counts(side: _SearchSide, depth: int) -> tuple[float, float]:
     """The least and the greatest vertex count a state in layer ``depth``
     of ``side`` can have, read off the layers reached so far: a reached
-    layer's own counts (``key[0]`` is n); past the deepest one, k, the least
-    count there plus ``depth - k``, and ``max_vertices``.  An empty layer,
+    layer's own counts (``key[0]`` is n); past the deepest one, the growth
+    bound of the module docstring, and ``max_vertices``.  An empty layer,
     or any past it, gives an empty range."""
     k = len(side.layers) - 1
     counts = [key[0] for key in side.layers[min(depth, k)]]

@@ -141,61 +141,53 @@ def _check_witness_references(e1: DirectedMultigraph, e2: DirectedMultigraph, w:
             raise WitnessReferenceError(f"vmap2 keyed by unknown side-2 vertex {v!r}")
 
 
-def _condition_vertex_partition(w: SseWitness, e1: DirectedMultigraph, e2: DirectedMultigraph) -> tuple[bool, list[str]]:
-    problems: list[str] = []
-    s1, s2 = set(w.side1), set(w.side2)
-    if len(s1) != len(w.side1) or len(s2) != len(w.side2):
-        problems.append("a side lists a vertex twice")
-    overlap = s1 & s2
-    if overlap:
-        problems.append(f"sides overlap: {sorted(overlap)}")
-    all_vertices = set(w.e3.vertices)
-    stray = (s1 | s2) - all_vertices
-    if stray:
-        problems.append(f"side members missing from the intermediate graph: {sorted(stray)}")
-    uncovered = all_vertices - (s1 | s2)
-    if uncovered:
-        problems.append(f"vertices on neither side: {sorted(uncovered)}")
-    for name, vmap, side, outer in (("vmap1", w.vmap1, s1, e1), ("vmap2", w.vmap2, s2, e2)):
+def _partition_problems(
+    first: Sequence[str], second: Sequence[str], universe: set[str], texts: tuple[str, str, str, str]
+) -> list[str]:
+    """How ``first`` and ``second`` fail to partition ``universe``, one of
+    ``texts`` per fault in this order: an id listed twice, ids on both lists,
+    ids outside ``universe``, ids of ``universe`` on neither list."""
+    twice, both, stray, neither = texts
+    a, b = set(first), set(second)
+    problems = [twice] if len(a) != len(first) or len(b) != len(second) else []
+    faults = ((both, a & b), (stray, (a | b) - universe), (neither, universe - (a | b)))
+    return problems + [f"{text}: {sorted(ids)}" for text, ids in faults if ids]
+
+
+def _condition_vertex_partition(w: SseWitness, e1: DirectedMultigraph, e2: DirectedMultigraph) -> list[str]:
+    problems = _partition_problems(w.side1, w.side2, set(w.e3.vertices), (
+        "a side lists a vertex twice", "sides overlap",
+        "side members missing from the intermediate graph", "vertices on neither side",
+    ))
+    for name, vmap, side, outer in (("vmap1", w.vmap1, w.side1, e1), ("vmap2", w.vmap2, w.side2, e2)):
         missing = set(outer.vertices) - set(vmap)
         if missing:
             problems.append(f"{name} misses vertices: {sorted(missing)}")
         values = list(vmap.values())
         if len(set(values)) != len(values):
             problems.append(f"{name} is not injective")
-        if set(values) != side:
+        if set(values) != set(side):
             problems.append(f"{name} is not onto its side")
-    return (not problems, problems)
+    return problems
 
 
-def _condition_edge_bipartition(w: SseWitness) -> tuple[bool, list[str]]:
-    problems: list[str] = []
-    c21, c12 = set(w.e21), set(w.e12)
-    if len(c21) != len(w.e21) or len(c12) != len(w.e12):
-        problems.append("an edge class lists an edge twice")
-    overlap = c21 & c12
-    if overlap:
-        problems.append(f"edge classes overlap: {sorted(overlap)}")
-    all_edges = set(w.e3.edge_ids())
-    stray = (c21 | c12) - all_edges
-    if stray:
-        problems.append(f"class members missing from the intermediate graph: {sorted(stray)}")
-    uncovered = all_edges - (c21 | c12)
-    if uncovered:
-        problems.append(f"edges in neither class: {sorted(uncovered)}")
-    s1, s2 = set(w.side1), set(w.side2)
+def _condition_edge_bipartition(w: SseWitness) -> list[str]:
     e3 = w.e3
-    for eid in w.e21:
-        if eid in all_edges:
-            e = e3.edge(eid)
-            if e.src not in s1 or e.rng not in s2:
-                problems.append(f"e21 edge {eid!r} does not run side1 -> side2")
-    for eid in w.e12:
-        if eid in all_edges:
-            e = e3.edge(eid)
-            if e.src not in s2 or e.rng not in s1:
-                problems.append(f"e12 edge {eid!r} does not run side2 -> side1")
-    return (not problems, problems)
+    problems = _partition_problems(w.e21, w.e12, set(e3.edge_ids()), (
+        "an edge class lists an edge twice", "edge classes overlap",
+        "class members missing from the intermediate graph", "edges in neither class",
+    ))
+    s1, s2 = set(w.side1), set(w.side2)
+    for name, cls, (src_side, rng_side), direction in (
+        ("e21", w.e21, (s1, s2), "side1 -> side2"),
+        ("e12", w.e12, (s2, s1), "side2 -> side1"),
+    ):
+        for eid in cls:
+            if e3.has_edge(eid):
+                e = e3.edge(eid)
+                if e.src not in src_side or e.rng not in rng_side:
+                    problems.append(f"{name} edge {eid!r} does not run {direction}")
+    return problems
 
 
 def _theta_check(
@@ -264,11 +256,6 @@ def _source_offences(e3: DirectedMultigraph) -> list[tuple[str, str]]:
     return offences
 
 
-def _condition_source_regularity(e3: DirectedMultigraph) -> tuple[bool, list[str]]:
-    problems = [message for _, message in _source_offences(e3)]
-    return (not problems, problems)
-
-
 def verify_sse_witness(e1: DirectedMultigraph, e2: DirectedMultigraph, w: SseWitness) -> WitnessReport:
     """Check all four defining conditions of an elementary SSE witness.
 
@@ -277,18 +264,15 @@ def verify_sse_witness(e1: DirectedMultigraph, e2: DirectedMultigraph, w: SseWit
     a failed condition instead of an error.
     """
     _check_witness_references(e1, e2, w)
-    c1, p1 = _condition_vertex_partition(w, e1, e2)
-    c2, p2 = _condition_edge_bipartition(w)
-    p3 = _theta_check("theta1", e1, w.e3, w.side1, w.vmap1, w.theta1)
-    p3 += _theta_check("theta2", e2, w.e3, w.side2, w.vmap2, w.theta2)
-    c4, p4 = _condition_source_regularity(w.e3)
-    return WitnessReport(
-        c1,
-        c2,
-        not p3,
-        c4,
-        problems={"condition1": p1, "condition2": p2, "condition3": p3, "condition4": p4},
-    )
+    problems = {
+        "condition1": _condition_vertex_partition(w, e1, e2),
+        "condition2": _condition_edge_bipartition(w),
+        "condition3": _theta_check("theta1", e1, w.e3, w.side1, w.vmap1, w.theta1)
+        + _theta_check("theta2", e2, w.e3, w.side2, w.vmap2, w.theta2),
+        "condition4": [message for _, message in _source_offences(w.e3)],
+    }
+    # one flag per condition, in condition order: it holds when nothing is listed
+    return WitnessReport(*(not listed for listed in problems.values()), problems=problems)
 
 
 def find_theta_bijections(
@@ -313,10 +297,9 @@ def find_theta_bijections(
     """
     probe = SseWitness(e3, tuple(side1), tuple(side2), tuple(e21), tuple(e12), dict(vmap1), dict(vmap2), {}, {})
     _check_witness_references(e1, e2, probe)
-    ok1, prob1 = _condition_vertex_partition(probe, e1, e2)
-    ok2, prob2 = _condition_edge_bipartition(probe)
-    if not (ok1 and ok2):
-        raise GraphError("sides/classes do not satisfy the partition conditions: " + "; ".join(prob1 + prob2))
+    misfits = _condition_vertex_partition(probe, e1, e2) + _condition_edge_bipartition(probe)
+    if misfits:
+        raise GraphError("sides/classes do not satisfy the partition conditions: " + "; ".join(misfits))
 
     def pair_side(outer: DirectedMultigraph, side: Sequence[str], vmap: Mapping[str, str]):
         fibers: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -329,13 +312,11 @@ def find_theta_bijections(
         if set(fibers) != set(edges_by_pair):
             return None
         theta: dict[str, tuple[str, str]] = {}
-        for key in edges_by_pair:
-            eids = sorted(edges_by_pair[key])
-            paths = sorted(fibers[key])
+        for key, eids in edges_by_pair.items():
+            paths = fibers[key]  # sorted, as paths_between lists them
             if len(eids) != len(paths):
                 return None
-            for eid, pth in zip(eids, paths):
-                theta[eid] = pth
+            theta.update(zip(sorted(eids), paths))
         return {e.id: theta[e.id] for e in outer.edges}
 
     theta1 = pair_side(e1, side1, vmap1)

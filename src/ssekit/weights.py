@@ -177,42 +177,30 @@ def lift_edge_function(
         adjacency[second].append(i)
 
     values: dict[str, int] = {}
-    parent: dict[str, tuple[str, int] | None] = {}
+    parent: dict[str, tuple[str, int]] = {}  # BFS tree: edge -> (parent edge, equation index)
+    depth: dict[str, int] = {}
     components = 0
 
     def certificate_for(u: str, v: str, closing: int) -> tuple[list[str], int]:
-        def chain(x: str) -> list[str]:
-            out = [x]
-            while parent[out[-1]] is not None:
-                out.append(parent[out[-1]][0])  # type: ignore[index]
-            return out
-
-        anc_u = chain(u)
-        anc_v_set = set(chain(v))
-        lca = next(x for x in anc_u if x in anc_v_set)
-        refs: list[str] = [equations[closing].ref]
-        x = u
-        while x != lca:
-            p, eq_i = parent[x]  # type: ignore[misc]
-            refs.append(equations[eq_i].ref)
-            x = p
-        down: list[str] = []
-        x = v
-        while x != lca:
-            p, eq_i = parent[x]  # type: ignore[misc]
-            down.append(equations[eq_i].ref)
-            x = p
-        refs.extend(reversed(down))
-        by_ref = {eq.ref: eq.constant for eq in equations}
-        alt = sum((-1) ** j * by_ref[ref] for j, ref in enumerate(refs))
-        return refs, alt
+        # climb the deeper end until both meet at their common ancestor
+        up, down = [closing], []
+        while u != v:
+            if depth[u] >= depth[v]:
+                u, eq_i = parent[u]
+                up.append(eq_i)
+            else:
+                v, eq_i = parent[v]
+                down.append(eq_i)
+        cycle = up + down[::-1]
+        alt = sum((-1) ** j * equations[i].constant for j, i in enumerate(cycle))
+        return [equations[i].ref for i in cycle], alt
 
     for root in w.e3.edge_ids():
         if root in values:
             continue
         components += 1
         values[root] = 0
-        parent[root] = None
+        depth[root] = 0
         queue = [root]
         for u in queue:  # appended to while iterated: a FIFO read cursor
             for eq_i in adjacency[u]:
@@ -221,6 +209,7 @@ def lift_edge_function(
                 if other not in values:
                     values[other] = constant - values[u]
                     parent[other] = (u, eq_i)
+                    depth[other] = depth[u] + 1
                     queue.append(other)
                 elif values[u] + values[other] != constant:
                     refs, alt = certificate_for(u, other, eq_i)

@@ -97,23 +97,20 @@ def test_witness_side_partition_failures(fork):
 
 
 def test_condition4_catches_bad_source():
-    from ssekit.sse import _condition_source_regularity
+    empty = DirectedMultigraph((), ())
+
+    def report(e3):
+        return verify_sse_witness(empty, empty, SseWitness(e3, (), (), (), (), {}, {}, {}, {}))
 
     # source u's unique edge shares its range with another edge
-    shared = DirectedMultigraph(
-        ("u", "w", "V"), (Edge("u>V", "u", "V"), Edge("w>V", "w", "V"))
-    )
-    ok, problems = _condition_source_regularity(shared)
-    assert not ok
-    assert any("is not the only edge" in p for p in problems)
+    shared = report(DirectedMultigraph(("u", "w", "V"), (Edge("u>V", "u", "V"), Edge("w>V", "w", "V"))))
+    assert not shared.source_condition_ok
+    assert any("is not the only edge" in p for p in shared.problems["condition4"])
 
     # source u emits two edges
-    fanout = DirectedMultigraph(
-        ("u", "V", "W"), (Edge("u>V", "u", "V"), Edge("u>W", "u", "W"))
-    )
-    ok, problems = _condition_source_regularity(fanout)
-    assert not ok
-    assert any("emits 2 edges" in p for p in problems)
+    fanout = report(DirectedMultigraph(("u", "V", "W"), (Edge("u>V", "u", "V"), Edge("u>W", "u", "W"))))
+    assert not fanout.source_condition_ok
+    assert any("emits 2 edges" in p for p in fanout.problems["condition4"])
 
 
 def test_witness_serialization_round_trip(fork):
