@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from ssekit import (
     witness_to_json_obj,
 )
 from ssekit.cli import main
+from ssekit.corpus import random_edge_function, random_graph, random_split_spec
 from ssekit.graphs import parse_graph_with_weights
 from ssekit.sse import witness_from_json_obj
 
@@ -198,6 +201,35 @@ def test_outsplit_with_weights_and_witness(run, files):
     _, fn = parse_graph_with_weights(json.dumps(payload["e2"]))
     assert sorted(fn.weights.values()) == [1, 2, 2, 3, 4]
     assert set(payload["h"].values()) == {0, 1, 2, 3, 4}
+
+
+def test_split_weights_match_pinned_digest_on_random_graphs(run, tmp_path):
+    # The SHA-256 of split stdout with --witness --weights on 240 seeded
+    # triples (seed 3131), both kinds; recorded on the CLI that carried the
+    # weights through its own copy of the split weight rule.  Every other
+    # weight file is a graph file with weights, the rest bare {"weights": ...}
+    # maps; an edgeless graph takes a map, as a graph file with no edges
+    # carries no weights.
+    rng = random.Random(3131)
+    digest = hashlib.sha256()
+    forms = set()
+    for i in range(240):
+        g = random_graph(rng, 6, 12)
+        kind = ("insplit", "outsplit")[i % 2]
+        spec = random_split_spec(rng, g, kind, max_parts=3)
+        f = random_edge_function(rng, g, -9, 9)
+        as_graph = i % 4 < 2 and bool(g.edges)
+        forms.add((kind, as_graph, bool(g.edges)))
+        weights = serialize_graph(g, f) if as_graph else json.dumps({"weights": dict(f.weights)})
+        graph = _write(tmp_path / f"{i}.graph", serialize_graph(g))
+        spec_path = _write(tmp_path / f"{i}.spec", json.dumps(spec.to_json_obj()))
+        weights_path = _write(tmp_path / f"{i}.weights", weights)
+        code, out, err = run(kind, graph, "--spec", spec_path, "--witness", "--weights", weights_path)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert forms >= {(k, a, True) for k in ("insplit", "outsplit") for a in (False, True)}
+    assert {(k, False, False) for k in ("insplit", "outsplit")} <= forms
+    assert digest.hexdigest() == "84882d010d167ea6c37112b8f18b157fb611c8e97507f21e794e9fd8d2d06b7d"
 
 
 def test_sse_verify_pass(run, files):
