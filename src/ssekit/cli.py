@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .invariants import periodic_point_profile, sse_invariant_filter
 from .search import sse_chain_search
-from .splits import _inherited_weights, parse_split_spec, split_witness
+from .splits import parse_split_spec, split_witness
 from .sse import (
     EssePair,
     SseWitness,
@@ -148,7 +148,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise GraphFormatError(f"{args.spec}: expected an {args.command} spec, found {spec.kind!r}")
     f = _load_weight_map(args.weights, g) if args.weights else None
     bundle = split_witness(g, spec)
-    g2, h = _inherited_weights(f, bundle) if f is not None else (None, None)
+    phi2_class = "e21" if spec.kind == "insplit" else "e12"
+    h, g2 = push_forward(bundle.witness, f, phi2_class) if f is not None else (None, None)
     out: dict = {
         "e2": graph_to_json_obj(bundle.e2, g2),
         "vertex_origin": {k: list(v) for k, v in bundle.application.vertex_origin.items()},

@@ -17,12 +17,11 @@ the only place the kind is chosen: ``split_apply``, ``split_witness`` and
 Both splits are strong shift equivalences; ``split_witness`` builds the
 intermediate graph together with the canonical theta bijections and the
 class bijections (phi1 on the new graph's vertices, phi2 on the original
-edges).  One rule carries a weighting f across either kind of split: every
-edge copy inherits its original's weight, and the intermediate weighting h
-is f on the phi2 class and 0 on the phi1 class.  Each theta path is one
-edge of each class, the phi2 edge standing for the original edge, so both
-theta maps are weight-preserving (Lind & Marcus, *An Introduction to
-Symbolic Dynamics and Coding*, §2.4).
+edges).  Each theta path is one edge of each class, the phi2 edge standing
+for the original edge, so a weighting crosses either kind of split as
+``weights.push_forward`` through the phi2 class, with both theta maps
+weight-preserving (Lind & Marcus, *An Introduction to Symbolic Dynamics and
+Coding*, §2.4).  ``insplit``/``outsplit --weights`` print that push-forward.
 """
 
 from __future__ import annotations
@@ -263,19 +262,6 @@ def split_witness(g: DirectedMultigraph, spec: SplitSpec) -> SplitWitnessBundle:
     return SplitWitnessBundle(witness, phi1, phi2, app)
 
 
-def _inherited_weights(f: EdgeFunction, bundle: SplitWitnessBundle) -> tuple[EdgeFunction, EdgeFunction]:
-    """(g2, h): a weighting f of the graph that ``bundle`` splits, pushed
-    through the split by the module's weight rule: g2(copy) = f(original),
-    and h is f on the phi2 edges and 0 on the phi1 edges."""
-    if f.weights.keys() != bundle.phi2.keys():
-        raise GraphError("f is not a weight map on the graph being split")
-    app = bundle.application
-    g2 = EdgeFunction(app.graph, {ne: f(origin) for ne, (origin, _) in app.edge_origin.items()})
-    h = dict.fromkeys(bundle.witness.e3.edge_ids(), 0)
-    h.update((eta, f(eid)) for eid, eta in bundle.phi2.items())
-    return g2, EdgeFunction(bundle.witness.e3, h)
-
-
 class ReverseTransportResult(NamedTuple):
     f: EdgeFunction | None
     obstructions: Sequence[tuple[str, dict[str, int]]] = ()
@@ -283,16 +269,6 @@ class ReverseTransportResult(NamedTuple):
     @property
     def found(self) -> bool:
         return self.f is not None
-
-    def to_json_obj(self) -> dict:
-        if self.f is not None:
-            return {"status": "found", "f": {eid: self.f(eid) for eid in self.f.graph.edge_ids()}}
-        return {
-            "status": "absent",
-            "obstructions": [
-                {"edge": e, "copy_weights": dict(cw)} for e, cw in self.obstructions
-            ],
-        }
 
 
 def reverse_transport(g: DirectedMultigraph, spec: SplitSpec, g2: EdgeFunction) -> ReverseTransportResult:

@@ -8,9 +8,11 @@ generator level; nothing else is modelled.
 
 Weights given on side 1 always push forward (``push_forward``): zero the
 witness edges on one class, copy f onto the other along the bijection phi
-that theta1 fixes, and transport to side 2 along theta2.  Side-2 weights
-need not pull back; feasibility of the defining linear system is decided
-exactly, with an inconsistent cycle as the certificate when it fails.
+that theta1 fixes, and transport to side 2 along theta2; through a split
+witness's phi2 class, every edge copy inherits its original's weight.
+Side-2 weights need not pull back; feasibility of the defining linear
+system is decided exactly, with an inconsistent cycle as the certificate
+when it fails.
 """
 
 from __future__ import annotations
@@ -79,7 +81,11 @@ def push_forward(w: SseWitness, f: EdgeFunction, side: str) -> tuple[EdgeFunctio
     the theta2 transport of h.  phi sends each side-1 edge to the edge of its
     theta1 path in that class, the first for e12 and the second for e21, and
     must be a bijection onto the class.  Both theta maps come out
-    weight-preserving."""
+    weight-preserving.
+
+    On a split witness with ``side`` its phi2 class (e21 for an insplit,
+    e12 for an outsplit), phi is phi2 and h is 0 on the phi1 class, so g
+    gives every edge copy its original's weight."""
     if side not in ("e12", "e21"):
         raise GraphError(f'side must be "e12" or "e21", not {side!r}')
     _check_against_witness(f, w.theta1, w.vmap1, "f")
@@ -155,6 +161,7 @@ def lift_edge_function(
 
     c21, c12 = set(w.e21), set(w.e12)
     equations: list[LiftEquation] = []
+    adjacency: dict[str, list[int]] = {eta: [] for eta in w.e3.edge_ids()}
 
     def add_equations(fn: EdgeFunction, theta: Mapping[str, tuple[str, str]], tag: str) -> None:
         for e in fn.graph.edges:
@@ -165,16 +172,15 @@ def lift_edge_function(
                 raise GraphError(
                     f"{tag}:{e.id}: theta path {theta[e.id]!r} does not alternate witness sides"
                 )
+            if first not in adjacency or second not in adjacency:
+                raise GraphError(f"{tag}:{e.id}: theta path {theta[e.id]!r} leaves the intermediate graph")
+            adjacency[first].append(len(equations))
+            adjacency[second].append(len(equations))
             equations.append(LiftEquation(f"{tag}:{e.id}", first, second, fn(e.id)))
 
     add_equations(g, w.theta2, "theta2")
     if f is not None:
         add_equations(f, w.theta1, "theta1")
-
-    adjacency: dict[str, list[int]] = {eta: [] for eta in w.e3.edge_ids()}
-    for i, (_, first, second, _) in enumerate(equations):
-        adjacency[first].append(i)
-        adjacency[second].append(i)
 
     values: dict[str, int] = {}
     parent: dict[str, tuple[str, int]] = {}  # BFS tree: edge -> (parent edge, equation index)

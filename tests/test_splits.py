@@ -26,7 +26,6 @@ from ssekit.corpus import random_edge_function, random_graph, random_split_spec
 from ssekit.graphs import _count_matrix, canonical_key, canonical_key_of_counts
 from ssekit.splits import (
     _build_split,
-    _inherited_weights,
     _first_classes,
     _vector_partitions,
     split_counts,
@@ -183,32 +182,34 @@ def test_insplit_witness_implied_graph_matches(loop_feed):
 
 def test_insplit_transport(loop_feed):
     g, f, spec = loop_feed
-    g2, _ = _inherited_weights(f, split_witness(g, spec))
+    _, g2 = push_forward(split_witness(g, spec).witness, f, "e21")
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {"a~1": 1, "a~2": 1, "b~": 2}
 
 
 def test_insplit_transport_zero(loop_feed):
     g, _, spec = loop_feed
-    g2, h = _inherited_weights(EdgeFunction.zero(g), split_witness(g, spec))
+    h, g2 = push_forward(split_witness(g, spec).witness, EdgeFunction.zero(g), "e21")
     assert all(g2(eid) == 0 for eid in g2.graph.edge_ids())
     assert all(h(eid) == 0 for eid in h.graph.edge_ids())
 
 
 def test_split_transport_agrees_with_weights_route():
-    """The direct weight rule against the witness route on seeded graphs:
-    the (g2, h) that ``_inherited_weights`` gives the CLI must equal what
-    ``push_forward`` gives through the e21 / e12 class (h on
-    phi2's class, g2 carried along theta2)."""
+    """``push_forward`` through the phi2 class (e21 for an insplit, e12 for
+    an outsplit) on seeded split witnesses, against the split weight rule
+    read off the split itself: every edge copy inherits its original's
+    weight, and h is f on the phi2 edges and 0 on every other witness edge."""
     rng = random.Random(61)
     for _ in range(60):
         g = random_graph(rng, max_vertices=5, max_edges=10)
         f = random_edge_function(rng, g)
-        ispec, ospec = random_split_spec(rng, g, "insplit", 3), random_split_spec(rng, g, "outsplit", 3)
-        ibundle, obundle = split_witness(g, ispec), split_witness(g, ospec)
-        ih, ig2 = push_forward(ibundle.witness, f, "e21")
-        oh, og2 = push_forward(obundle.witness, f, "e12")
-        assert _inherited_weights(f, ibundle) == (ig2, ih)
-        assert _inherited_weights(f, obundle) == (og2, oh)
+        for kind, side in (("insplit", "e21"), ("outsplit", "e12")):
+            bundle = split_witness(g, random_split_spec(rng, g, kind, 3))
+            h, g2 = push_forward(bundle.witness, f, side)
+            edge_origin = bundle.application.edge_origin
+            assert dict(g2.weights) == {c: f(origin) for c, (origin, _) in edge_origin.items()}
+            on_phi2 = {eta: f(e) for e, eta in bundle.phi2.items()}
+            assert dict(h.weights) == {eta: on_phi2.get(eta, 0) for eta in bundle.witness.e3.edge_ids()}
+            assert set(on_phi2) == set(getattr(bundle.witness, side))
 
 
 # -- reverse transport -------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_reverse_transport_obstruction(funnel):
 def test_reverse_transport_round_trip(funnel):
     g, spec = funnel
     f = EdgeFunction(g, {"wy": 5, "xy": -2, "e": 7})
-    g2, _ = _inherited_weights(f, split_witness(g, spec))
+    _, g2 = push_forward(split_witness(g, spec).witness, f, "e21")
     result = reverse_transport(g, spec, g2)
     assert result.found
     assert {e: result.f(e) for e in g.edge_ids()} == {"wy": 5, "xy": -2, "e": 7}
@@ -243,7 +244,7 @@ def test_reverse_transport_random_copy_constant():
             continue
         spec = random_split_spec(rng, g, "insplit", 3)
         f = random_edge_function(rng, g)
-        g2, _ = _inherited_weights(f, split_witness(g, spec))
+        _, g2 = push_forward(split_witness(g, spec).witness, f, "e21")
         result = reverse_transport(g, spec, g2)
         assert result.found
         assert {e: result.f(e) for e in g.edge_ids()} == {e: f(e) for e in g.edge_ids()}
@@ -346,7 +347,7 @@ def test_outsplit_witness_trivial(fan):
 def test_outsplit_transport_fan(fan):
     g, f, spec = fan
     bundle = split_witness(g, spec)
-    g2, h = _inherited_weights(f, bundle)
+    h, g2 = push_forward(bundle.witness, f, "e12")
     assert {eid: g2(eid) for eid in g2.graph.edge_ids()} == {
         "a^1": 1,
         "b^1": 2,
@@ -361,7 +362,7 @@ def test_outsplit_transport_fan(fan):
 
 def test_outsplit_transport_zero(fan):
     g, _, spec = fan
-    g2, h = _inherited_weights(EdgeFunction.zero(g), split_witness(g, spec))
+    h, g2 = push_forward(split_witness(g, spec).witness, EdgeFunction.zero(g), "e12")
     assert all(g2(e) == 0 for e in g2.graph.edge_ids())
     assert all(h(e) == 0 for e in h.graph.edge_ids())
 

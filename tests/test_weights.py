@@ -5,10 +5,13 @@ import random
 import pytest
 
 from ssekit import (
+    DirectedMultigraph,
+    Edge,
     EdgeFunction,
     EssePair,
     GraphError,
     NonnegIntMatrix,
+    SplitSpec,
     TransportError,
     check_weight_preserving,
     lift_edge_function,
@@ -222,6 +225,16 @@ def test_lift_with_f_constraints(fan):
     assert outcome.status == "feasible"
     for eq in outcome.equations:
         assert outcome.solution(eq.first) + outcome.solution(eq.second) == eq.constant
+
+
+def test_lift_rejects_theta_edges_outside_the_intermediate_graph():
+    # "ghost" is listed in e21, so the path alternates sides, but E3 lacks it
+    g = DirectedMultigraph(("v",), (Edge("p", "v", "v"), Edge("q", "v", "v")))
+    w = split_witness(g, SplitSpec("insplit", {"v": (("p",), ("q",))})).witness
+    broken = w._replace(e21=w.e21 + ("ghost",), theta2={**w.theta2, "p~1": ("ghost", "e12:v~1")})
+    with pytest.raises(GraphError) as exc:
+        lift_edge_function(broken, EdgeFunction.zero(w.implied_graph2()))
+    assert str(exc.value) == "theta2:p~1: theta path ('ghost', 'e12:v~1') leaves the intermediate graph"
 
 
 def test_lift_unconstrained_edges_get_zero_and_count_free(fork):
