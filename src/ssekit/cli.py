@@ -41,10 +41,9 @@ from .sse import (
     matrix_essse_search,
     matrix_essse_verify,
     parse_witness,
-    str_list,
-    str_map,
     verify_sse_witness,
     witness_from_json_obj,
+    witness_sides,
     witness_to_json_obj,
 )
 from .weights import lift_edge_function, push_forward, transport_g_from_h
@@ -181,12 +180,7 @@ def cmd_theta_search(args: argparse.Namespace) -> int:
     obj = _load_json(args.sides)
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{args.sides}: sides file must be an object")
-    try:
-        lists = [str_list(obj, key) for key in ("side1", "side2", "e21", "e12")]
-        maps = [str_map(obj, key) for key in ("vmap1", "vmap2")]
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{args.sides}: {exc}") from None
-    result = find_theta_bijections(e1, e2, e3, *lists, *maps)
+    result = find_theta_bijections(e1, e2, e3, *_parsed(args.sides, witness_sides, obj))
     if result is None:
         _emit({"status": "absent", "reason": "fiber counts differ"})
         return EXIT_NEGATIVE

@@ -35,14 +35,10 @@ def random_partition(
     classes ordered by first occurrence."""
     k = rng.randint(1, min(max_parts, len(items)))
     assignment = [rng.randrange(k) for _ in items]
-    order: list[int] = []
     blocks: dict[int, list[str]] = {}
     for item, b in zip(items, assignment):
-        if b not in blocks:
-            blocks[b] = []
-            order.append(b)
-        blocks[b].append(item)
-    return tuple(tuple(blocks[b]) for b in order)
+        blocks.setdefault(b, []).append(item)
+    return tuple(map(tuple, blocks.values()))
 
 
 def random_split_spec(rng: random.Random, g: DirectedMultigraph, kind: str, max_parts: int = 3) -> SplitSpec:

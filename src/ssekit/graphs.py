@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 
 class GraphError(ValueError):
@@ -350,12 +350,7 @@ class NonnegIntMatrix(_Value):
         entries = obj["entries"]
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise GraphFormatError('"entries" must be a list of lists')
-        rows = obj.get("rows")
-        cols = obj.get("cols")
-        if rows is not None and not (isinstance(rows, list) and all(isinstance(v, str) for v in rows)):
-            raise GraphFormatError('"rows" must be a list of strings')
-        if cols is not None and not (isinstance(cols, list) and all(isinstance(v, str) for v in cols)):
-            raise GraphFormatError('"cols" must be a list of strings')
+        rows, cols = (None if obj.get(key) is None else str_list(obj, key) for key in ("rows", "cols"))
         try:
             return cls.from_entries(entries, rows, cols)
         except GraphError as exc:
@@ -414,11 +409,7 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
     for key in ("vertices", "edges"):
         if key not in obj:
             raise GraphFormatError(f'graph needs a "{key}" key')
-    vs = obj["vertices"]
-    if not (type(vs) is list and set(map(type, vs)) <= {str}) and (
-        not isinstance(vs, list) or not all(isinstance(v, str) for v in vs)
-    ):
-        raise GraphFormatError('"vertices" must be a list of strings')
+    vs = str_list(obj, "vertices")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list')
@@ -429,19 +420,17 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
         # One exact-type test per record; a record failing it is checked key
         # by key, and its first fault named.
         eid, src, rng = (rec.get("id"), rec.get("src"), rec.get("rng")) if type(rec) is dict else (None,) * 3
-        if type(eid) is str and type(src) is str and type(rng) is str:
-            e = Edge(eid, src, rng)
-        else:
-            e = _edge_of_record(i, rec)
-        edges.append(e)
+        if not (type(eid) is str and type(src) is str and type(rng) is str):
+            _reject_edge(i, rec)
+        edges.append(Edge(eid, src, rng))
         if "weight" in rec:
             wt = rec["weight"]
-            if type(wt) is not int and (not isinstance(wt, int) or isinstance(wt, bool)):
+            if type(wt) is not int:
                 raise GraphFormatError(f"edges[{i}]: weight must be an integer")
-            weight_map[e.id] = wt
+            weight_map[eid] = wt
             weighted += 1
     try:
-        g = DirectedMultigraph(tuple(vs), tuple(edges))
+        g = DirectedMultigraph(vs, tuple(edges))
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from None
     if weighted == 0:
@@ -453,14 +442,28 @@ def graph_from_json_obj(obj: object) -> tuple[DirectedMultigraph, EdgeFunction |
     return g, EdgeFunction(g, weight_map)
 
 
-def _edge_of_record(i: int, rec: object) -> Edge:
-    """Edge record ``i`` checked key by key, or the error naming its fault."""
-    if not isinstance(rec, dict):
+def _reject_edge(i: int, rec: object) -> NoReturn:
+    """The error naming the first fault of edge record ``i``, checked key by key."""
+    if type(rec) is not dict:
         raise GraphFormatError(f"edges[{i}]: must be an object")
-    for key in ("id", "src", "rng"):
-        if key not in rec or not isinstance(rec[key], str):
-            raise GraphFormatError(f'edges[{i}]: needs a string "{key}"')
-    return Edge(rec["id"], rec["src"], rec["rng"])
+    key = next(k for k in ("id", "src", "rng") if type(rec.get(k)) is not str)
+    raise GraphFormatError(f'edges[{i}]: needs a string "{key}"')
+
+
+def str_list(obj: dict, key: str) -> tuple[str, ...]:
+    """``obj[key]`` as a tuple of strings; anything else is a format error."""
+    val = obj.get(key)
+    if type(val) is not list or not set(map(type, val)) <= {str}:
+        raise GraphFormatError(f'"{key}" must be a list of strings')
+    return tuple(val)
+
+
+def str_map(obj: dict, key: str) -> dict[str, str]:
+    """``obj[key]`` as a string-to-string dict; anything else is a format error."""
+    val = obj.get(key)
+    if type(val) is not dict or not {*map(type, val), *map(type, val.values())} <= {str}:
+        raise GraphFormatError(f'"{key}" must map strings to strings')
+    return dict(val)
 
 
 def parse_json(text: str) -> object:

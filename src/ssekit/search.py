@@ -27,12 +27,29 @@ vertices than its parent, since the one move that keeps every vertex
 rebuilds the parent.  So past a side's deepest reached layer k, layer d
 has at least the least vertex count of layer k plus d - k vertices, and a
 depth pair whose layers cannot share a vertex count cannot meet: the
-search skips it without expanding either side.  The vertex-bound flag it
-reports is that of a search that expanded every pair.  Flag and frontier
-are read lazily: a side builds a layer for the flag only when no shallower
-state has a split over the bound, and tells whether its deepest layer
-holds a state by keying the children of the layer above up to the first
-new one, without building that layer.
+search skips it without expanding either side.  The same bound stops the
+search: before total step count t it breaks when t > L1 + L2, where L1 is
+the deepest layer of side 1 whose least vertex count is at most the
+largest count side 2 can have (the largest it reached once it has an
+empty layer, else the larger of that and ``max_vertices``), and L2 the
+same with the sides swapped.  Neither rule builds a layer.
+
+What the search reports, and so what a faster search must keep:
+
+* an absent answer reports what a search that asked every depth pair up to
+  ``max_steps`` would: ``truncated_by_vertex_bound`` says whether a state
+  in layers 0..max_steps-1 of either side has a split over
+  ``max_vertices``, and the reason is ``depth-bound-reached`` when it does
+  or when layer ``max_steps`` of either side holds a state,
+  ``search-space-exhausted`` otherwise;
+* a found answer reads its flag the same way at the deepest depth the pair
+  order asked of each side up to and including the meeting pair, skipped
+  pairs included.
+
+Flag and frontier are read lazily: a side builds a layer for the flag only
+when no shallower state has a split over the bound, stops at its first
+empty layer, and tells whether layer D holds a state by keying the
+children of layer D-1 up to the first new one, without building layer D.
 """
 
 from __future__ import annotations
@@ -174,20 +191,26 @@ class _SearchSide:
         """Whether a state in layers 0..depth-1 has a move over the vertex
         bound: the flag a search that expanded this side to ``depth``
         reports.  Layers are reached one at a time, and the scan stops at
-        the first such state, so at most layer depth-1 is reached."""
+        the first such state or the first empty layer, so at most layer
+        depth-1 is reached."""
         for d in range(depth):
             self.expand_to(d)
+            if not self.layers[d]:
+                break
             for key in self.layers[d]:
                 if widest_split_vertex_count(self.states[key].counts, self.max_parts) > self.max_vertices:
                     return True
         return False
 
     def reaches(self, depth: int) -> bool:
-        """Whether layer ``depth`` holds a state.  If it is not reached yet,
-        layer depth-1's children are keyed in order up to the first that is
-        not a state; layer ``depth`` itself is not built."""
+        """Whether layer ``depth`` holds a state: not if it is past a built
+        empty layer.  If it is not reached yet, layer depth-1's children are
+        keyed in order up to the first that is not a state; layer ``depth``
+        itself is not built."""
         if depth < len(self.layers):
             return bool(self.layers[depth])
+        if not self.layers[-1]:
+            return False
         self.expand_to(depth - 1)
         return any(
             child_key not in self.states for key in self.layers[-1] for child_key, *_ in self._children(key)
@@ -226,23 +249,12 @@ def sse_chain_search(
     -- tighten the bounds before probing dense graphs.  Parallel edges add
     no moves.  ``max_vertices`` is applied inside that product, so moves
     over it are never tried; each remaining child's count matrix is
-    computed from the parent's and keyed through the side's key memo
-    (module docstring).  Depth pairs are explored balanced-first within each
-    total step count, so one-sided deep expansion happens only when nothing
-    shallower meets; once both frontiers are empty and no pair can meet, the
-    search stops early.
-
-    A depth pair whose two layers cannot share a vertex count is skipped
-    without expanding either side (the growth bound of the module
-    docstring), so each side is expanded only as far as a meeting needs.
-    ``truncated_by_vertex_bound`` still reports what expanding every pair
-    would: whether a state in layers 0..D-1 of either side has a split over
-    ``max_vertices``, D being the deepest depth the pair order asked of that
-    side, skipped pairs included.  It is read layer by layer, and the scan
-    stops at the first such state.  An absent result with the flag set is
-    ``depth-bound-reached`` whatever the frontier; otherwise the reason
-    asks whether layer D of either side holds a state, keying layer D-1's
-    children up to the first new one rather than building layer D.
+    computed from the parent's and keyed through the side's key memo.
+    Depth pairs are explored balanced-first within each total step count,
+    so one-sided deep expansion happens only when nothing shallower meets.
+    Which pairs are skipped, when the search stops, and what
+    ``truncated_by_vertex_bound`` and ``reason`` report are set out once,
+    in the module docstring.
     """
     if max_steps < 0:
         raise GraphError("max_steps must be nonnegative")
@@ -258,16 +270,8 @@ def sse_chain_search(
     deepest1 = deepest2 = 0  # the deepest layer each side was asked for
 
     for total in range(max_steps + 1):
-        if total and (_empty(side1, total - 1) or _empty(side2, total - 1)):
-            # a frontier is empty by depth total - 1, which the pairs so far
-            # asked of both sides: reach it on both to see whether both died
-            side1.expand_to(total - 1)
-            side2.expand_to(total - 1)
-            # a side's last states are at depth layers.index([]) - 1
-            if not (side1.layers[-1] or side2.layers[-1]) and (
-                total > side1.layers.index([]) + side2.layers.index([]) - 2
-            ):
-                break  # every pair from here on is past one side's last states
+        if total > _last_meeting_depth(side1, side2) + _last_meeting_depth(side2, side1):
+            break  # no pair from here on can share a vertex count
         decompositions = sorted(
             ((d1, total - d1) for d1 in range(total + 1)),
             key=lambda pair: (max(pair), pair),
@@ -289,9 +293,9 @@ def sse_chain_search(
                     or side2.truncated_before(deepest2),
                 )
 
-    truncated = side1.truncated_before(deepest1) or side2.truncated_before(deepest2)
+    truncated = side1.truncated_before(max_steps) or side2.truncated_before(max_steps)
     # a cut move leaves the depth bound the reason whatever the frontier
-    if truncated or side1.reaches(deepest1) or side2.reaches(deepest2):
+    if truncated or side1.reaches(max_steps) or side2.reaches(max_steps):
         reason = "depth-bound-reached"
     else:
         reason = "search-space-exhausted"
@@ -315,10 +319,21 @@ def _vertex_counts(side: _SearchSide, depth: int) -> tuple[float, float]:
     return min(counts) + depth - k, side.max_vertices
 
 
-def _empty(side: _SearchSide, depth: int) -> bool:
-    """Whether layer ``depth`` of ``side`` is known to hold no state."""
-    lo, hi = _vertex_counts(side, depth)
-    return lo > hi
+def _last_meeting_depth(side: _SearchSide, other: _SearchSide) -> int:
+    """L1 of the module docstring, with ``side`` as side 1: the deepest
+    layer of ``side`` that can share a vertex count with a state of
+    ``other``, read off the layers reached so far, or -1 when none can."""
+    # a key starts with its vertex count, so a layer's least and greatest
+    # keys carry its least and greatest counts
+    most = max(max(layer)[0] for layer in other.layers if layer)
+    if other.layers[-1]:
+        most = max(most, other.max_vertices)
+    for d, layer in enumerate(side.layers):
+        if not layer or min(layer)[0] > most:
+            return d - 1
+    # past the deepest layer k, layer d has at least least(k) + d - k and at
+    # most max_vertices vertices
+    return d + max(0, min(most, side.max_vertices) - min(layer)[0])
 
 
 def _apart(side1: _SearchSide, d1: int, side2: _SearchSide, d2: int) -> bool:

@@ -33,6 +33,8 @@ from .graphs import (
     graph_to_json_obj,
     parse_json,
     paths_between,
+    str_list,
+    str_map,
 )
 from .invariants import trace_mismatch
 
@@ -345,22 +347,13 @@ def witness_to_json_obj(w: SseWitness) -> dict:
     }
 
 
-def str_list(obj: dict, key: str) -> tuple[str, ...]:
-    """``obj[key]`` as a tuple of strings; anything else is a format error."""
-    val = obj.get(key)
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise GraphFormatError(f'"{key}" must be a list of strings')
-    return tuple(val)
-
-
-def str_map(obj: dict, key: str) -> dict[str, str]:
-    """``obj[key]`` as a string-to-string dict; anything else is a format error."""
-    val = obj.get(key)
-    if not isinstance(val, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in val.items()
-    ):
-        raise GraphFormatError(f'"{key}" must map strings to strings')
-    return dict(val)
+def witness_sides(obj: dict) -> tuple:
+    """``(side1, side2, e21, e12, vmap1, vmap2)`` of a witness or sides
+    object: four tuples of strings, then two string-to-string dicts."""
+    return (
+        str_list(obj, "side1"), str_list(obj, "side2"), str_list(obj, "e21"), str_list(obj, "e12"),
+        str_map(obj, "vmap1"), str_map(obj, "vmap2"),
+    )
 
 
 def witness_from_json_obj(obj: object) -> SseWitness:
@@ -377,30 +370,12 @@ def witness_from_json_obj(obj: object) -> SseWitness:
             raise GraphFormatError(f'"{key}" must be an object')
         out: dict[str, tuple[str, str]] = {}
         for k, v in val.items():
-            # One exact-type test per item; the general test only for an item failing it.
-            if not (
-                type(k) is str and type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
-            ) and (
-                not isinstance(k, str)
-                or not isinstance(v, list)
-                or len(v) != 2
-                or not all(isinstance(x, str) for x in v)
-            ):
+            if not (type(k) is str and type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str):
                 raise GraphFormatError(f'"{key}" values must be pairs of edge ids')
             out[k] = (v[0], v[1])
         return out
 
-    return SseWitness(
-        e3,
-        str_list(obj, "side1"),
-        str_list(obj, "side2"),
-        str_list(obj, "e21"),
-        str_list(obj, "e12"),
-        str_map(obj, "vmap1"),
-        str_map(obj, "vmap2"),
-        theta_map("theta1"),
-        theta_map("theta2"),
-    )
+    return SseWitness(e3, *witness_sides(obj), theta_map("theta1"), theta_map("theta2"))
 
 
 def parse_witness(text: str) -> SseWitness:

@@ -8,7 +8,7 @@
 * two_loops: a single vertex with two loops against the complete 2-vertex
   graph, with the hand-built witness whose lifting system is the canonical
   infeasible example.
-* broken_two_loops: the two_loops witness broken three ways on side 2, each
+* broken_two_loops: the two_loops witness broken four ways on side 2, each
   with the message that rejects it.
 * two_loops_composite: two_loops' complete 2-vertex graph outsplit at one
   vertex, two splits from the one-vertex graph.
@@ -164,6 +164,11 @@ def broken_two_loops(two_loops):
             "theta2-unknown-edge",
             w._replace(theta2=dict(w.theta2, l1=("a", "zz"))),
             "unknown edge id 'zz'",
+        ),
+        (
+            "theta2-outside-side2",
+            w._replace(theta2=dict(w.theta2, l1=("c", "a"))),
+            "theta path for edge 'l1' ends at 'v', outside the mapped side",
         ),
         (
             "vmap2-not-injective",

@@ -508,6 +508,7 @@ def test_weight_map_error_names_the_file(run, files):
         (files["tl_good"], boolean, boolean, "weight of edge 'p' is not an integer: True"),
         (files["tl_good"], files["tl_good"], files["tl_good"], "weight map misses edges: ['p', 'q']"),
         (empty, good_f, empty, "weight map misses edges: ['l1', 'l2', 'm12', 'm21']"),
+        (files["tl_e2"], good_f, files["tl_e2"], "no weights present"),
     ):
         code, out, err = run("lift", "--witness", files["tl_w"], "--g", g, "--f", f)
         assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
@@ -617,8 +618,10 @@ def test_chain_search_stops_when_both_sides_are_exhausted(run, files):
         {"vertices": ["a", "b"], "edges": [{"id": "l", "src": "a", "rng": "a"}]}))
     code, out, err = run("chain-search", looped, looped_plus, "--max-steps", "1000000")
     code3, out3, _ = run("chain-search", looped, looped_plus, "--max-steps", "3")
+    huge = run("chain-search", looped, looped_plus, "--max-steps", "1000000", "--max-vertices", "1000000")
     assert code == code3 == 1
     assert out == out3 and err == ""
+    assert huge == (code, out, err)
     assert json.loads(out)["reason"] == "search-space-exhausted"
 
 

@@ -67,6 +67,12 @@ def test_validate_missing_and_foreign_edges(loop_feed):
     assert any("foreign edges" in v for v in report.violations)
 
 
+def test_validate_unknown_vertex(loop_feed):
+    g, _, spec = loop_feed
+    report = validate_split_spec(g, SplitSpec("insplit", {**spec.parts, "zz": (("a",),)}))
+    assert "spec maps unknown vertex 'zz'" in report.violations
+
+
 def test_validate_mapped_source(loop_feed):
     g, _, _ = loop_feed
     report = validate_split_spec(
@@ -224,6 +230,13 @@ def test_reverse_transport_obstruction(funnel):
     assert not result.found
     assert result.obstructions[0][0] == "e"
     assert result.obstructions[0][1] == {"e~1": 0, "e~2": 1}
+
+
+def test_reverse_transport_rejects_g2_on_another_graph(funnel, loop_feed):
+    g, spec = funnel
+    with pytest.raises(GraphError) as exc:
+        reverse_transport(g, spec, loop_feed[1])
+    assert str(exc.value) == "g2 is not a weight map on the insplit of this graph"
 
 
 def test_reverse_transport_round_trip(funnel):

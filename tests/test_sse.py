@@ -1050,15 +1050,9 @@ def test_chain_search_keys_one_child_per_vector_partition(monkeypatch):
     assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22], [1, 26]]
 
 
-def test_chain_search_frontier_keys_up_to_the_first_new_child(monkeypatch):
-    # Williams' pair with two parts and 8 vertices: no state in layers 0
-    # and 1 has a split over the bound, so the reason rests on whether
-    # layer 2 holds a state.  Side 1's first layer-1 state has a child that
-    # is new, which answers it: one matrix is keyed past the 50 of layers
-    # 0 and 1, and layer 2 is not built.  Building both layers 2 for the
-    # reason keyed 28,418 matrices and took about 2 s.
-    from ssekit import graph_from_matrix
-
+def _count_keys(monkeypatch):
+    """(keyed, sides): every count matrix chain search keys, in order, and
+    every search side it makes."""
     keyed = []
     sides = []
     canonical = search.canonical_key_of_counts
@@ -1074,12 +1068,45 @@ def test_chain_search_frontier_keys_up_to_the_first_new_child(monkeypatch):
 
     monkeypatch.setattr(search, "canonical_key_of_counts", key)
     monkeypatch.setattr(search, "_SearchSide", Side)
+    return keyed, sides
+
+
+def test_chain_search_frontier_keys_up_to_the_first_new_child(monkeypatch):
+    # Williams' pair with two parts and 8 vertices: no state in layers 0
+    # and 1 has a split over the bound, so the reason rests on whether
+    # layer 2 holds a state.  Side 1's first layer-1 state has a child that
+    # is new, which answers it: one matrix is keyed past the 50 of layers
+    # 0 and 1, and layer 2 is not built.  Building both layers 2 for the
+    # reason keyed 28,418 matrices and took about 2 s.
+    from ssekit import graph_from_matrix
+
+    keyed, sides = _count_keys(monkeypatch)
     a = graph_from_matrix(_mat([[1, 3], [2, 1]]))
     b = graph_from_matrix(_mat([[1, 6], [1, 1]]))
     result = sse_chain_search(a, b, max_steps=2, max_vertices=8, max_parts=2)
     assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", False)
     assert len(keyed) == 51
     assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 22], [1, 26]]
+
+
+def test_chain_search_stop_builds_no_layer(monkeypatch):
+    # A 3-cycle against the same cycle plus a source s feeding two edges into
+    # a and one into b.  Side 1 has no new split, so its layer 1 is empty,
+    # and side 2's root already has more vertices than any state of side 1:
+    # no depth pair can meet, and the search stops before asking any.  The
+    # absent answer then reads its flag at max_steps; side 2's layer 2 has a
+    # split over the bound, so layers 3 to 5 are never built.  Building both
+    # sides to each total - 1 to see whether both died keyed 216 matrices,
+    # with side-2 layers [1, 5, 22, 48, 48, 33].
+    keyed, sides = _count_keys(monkeypatch)
+    cycle = (Edge("x", "a", "b"), Edge("y", "b", "c"), Edge("z", "c", "a"))
+    fed = cycle + (Edge("p", "s", "a"), Edge("q", "s", "a"), Edge("r", "s", "b"))
+    result = sse_chain_search(
+        DirectedMultigraph(("a", "b", "c"), cycle), DirectedMultigraph(("a", "b", "c", "s"), fed), 6, 10
+    )
+    assert (result.status, result.reason, result.truncated_by_vertex_bound) == ("absent", "depth-bound-reached", True)
+    assert len(keyed) == 29
+    assert [[len(layer) for layer in side.layers] for side in sides] == [[1, 0], [1, 5, 22]]
 
 
 def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_loops, two_loops_composite):
@@ -1092,21 +1119,7 @@ def test_chain_search_skips_depth_pairs_apart_in_vertex_count(monkeypatch, two_l
     # side 2's root has one, so side 2 never builds layer 1 (building it for
     # the flag keyed 22 matrices and 13 states there); at 10 it has none,
     # so layer 1 is built.
-    keyed = []
-    sides = []
-    canonical = search.canonical_key_of_counts
-
-    def key(m):
-        keyed.append(m)
-        return canonical(m)
-
-    class Side(search._SearchSide):
-        def __init__(self, *args):
-            super().__init__(*args)
-            sides.append(self)
-
-    monkeypatch.setattr(search, "canonical_key_of_counts", key)
-    monkeypatch.setattr(search, "_SearchSide", Side)
+    keyed, sides = _count_keys(monkeypatch)
     for (max_steps, max_vertices), keys, layers in [
         ((2, 5), 9, [[1, 1, 3], [1]]),
         ((3, 10), 23, [[1, 1, 3], [1, 14]]),

@@ -53,6 +53,10 @@ def test_triple_validates_graphs(two_loops, fan):
         check_weight_preserving(w, EdgeFunction.zero(w.e3), f=fan_f)
     with pytest.raises(GraphError, match="intermediate graph"):
         check_weight_preserving(w, EdgeFunction.zero(fan_graph), g=EdgeFunction.zero(w.implied_graph2()))
+    extra_vertex = EdgeFunction(DirectedMultigraph(("v", "u"), two_loops[0].edges), {"p": 1, "q": 2})
+    with pytest.raises(GraphError) as exc:
+        push_forward(w, extra_vertex, "e12")
+    assert str(exc.value) == "f is not a weight map on the witness' side graph (vertex sets differ)"
 
 
 def test_check_fan_outsplit_independent_sums(fan):
@@ -235,6 +239,14 @@ def test_lift_rejects_theta_edges_outside_the_intermediate_graph():
     with pytest.raises(GraphError) as exc:
         lift_edge_function(broken, EdgeFunction.zero(w.implied_graph2()))
     assert str(exc.value) == "theta2:p~1: theta path ('ghost', 'e12:v~1') leaves the intermediate graph"
+
+
+def test_lift_rejects_theta_paths_that_do_not_alternate(two_loops, broken_two_loops):
+    # the CLI's implied_graph2 rejects this witness before it is lifted
+    broken = next(w for name, w, _ in broken_two_loops if name == "theta2-does-not-chain")
+    with pytest.raises(GraphError) as exc:
+        lift_edge_function(broken, two_loops[5])
+    assert str(exc.value) == "theta2:l1: theta path ('a', 'b') does not alternate witness sides"
 
 
 def test_lift_unconstrained_edges_get_zero_and_count_free(fork):
