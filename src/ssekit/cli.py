@@ -136,7 +136,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph)
     sources, sinks = classify_vertices(g)
-    _emit({"sources": list(sources), "sinks": list(sinks)})
+    _emit({"sources": sources, "sinks": sinks})
     return EXIT_OK
 
 
@@ -151,8 +151,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     h, g2 = push_forward(bundle.witness, f, phi2_class) if f is not None else (None, None)
     out: dict = {
         "e2": graph_to_json_obj(bundle.e2, g2),
-        "vertex_origin": {k: list(v) for k, v in bundle.application.vertex_origin.items()},
-        "edge_origin": {k: list(v) for k, v in bundle.application.edge_origin.items()},
+        "vertex_origin": bundle.application.vertex_origin,
+        "edge_origin": bundle.application.edge_origin,
     }
     if args.witness:
         out["witness"] = witness_to_json_obj(bundle.witness)
@@ -180,18 +180,11 @@ def cmd_theta_search(args: argparse.Namespace) -> int:
     obj = _load_json(args.sides)
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{args.sides}: sides file must be an object")
-    result = find_theta_bijections(e1, e2, e3, *_parsed(args.sides, witness_sides, obj))
-    if result is None:
+    found = find_theta_bijections(e1, e2, SseWitness(e3, *_parsed(args.sides, witness_sides, obj), {}, {}))
+    if found is None:
         _emit({"status": "absent", "reason": "fiber counts differ"})
         return EXIT_NEGATIVE
-    theta1, theta2 = result
-    _emit(
-        {
-            "status": "found",
-            "theta1": {k: list(v) for k, v in theta1.items()},
-            "theta2": {k: list(v) for k, v in theta2.items()},
-        }
-    )
+    _emit({"status": "found", "theta1": found.theta1, "theta2": found.theta2})
     return EXIT_OK
 
 

@@ -372,8 +372,9 @@ def graph_to_json_obj(g: DirectedMultigraph, weights: EdgeFunction | None = None
 
 def _json_text(obj: object, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, with strings and ints
-    encoded in C: dicts with string keys and lists are joined here, any
-    other value goes through ``json.dumps`` and is indented to its place."""
+    encoded in C: dicts with string keys, lists and tuples are joined here
+    (``json.dumps`` writes a tuple as an array too), any other value goes
+    through ``json.dumps`` and is indented to its place."""
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
@@ -381,7 +382,7 @@ def _json_text(obj: object, indent: str = "") -> str:
         return int.__repr__(obj)
     inner = indent + "  "
     sep = ",\n" + inner
-    if t is list:
+    if t is list or t is tuple:
         if not obj:
             return "[]"
         items = [encode_basestring_ascii(x) if type(x) is str else _json_text(x, inner) for x in obj]

@@ -129,18 +129,15 @@ class WitnessReport(NamedTuple):
 
 
 def _check_witness_references(e1: DirectedMultigraph, e2: DirectedMultigraph, w: SseWitness) -> None:
-    for eid in w.theta1:
-        if not e1.has_edge(eid):
-            raise WitnessReferenceError(f"theta1 keyed by unknown side-1 edge {eid!r}")
-    for eid in w.theta2:
-        if not e2.has_edge(eid):
-            raise WitnessReferenceError(f"theta2 keyed by unknown side-2 edge {eid!r}")
-    for v in w.vmap1:
-        if not e1.has_vertex(v):
-            raise WitnessReferenceError(f"vmap1 keyed by unknown side-1 vertex {v!r}")
-    for v in w.vmap2:
-        if not e2.has_vertex(v):
-            raise WitnessReferenceError(f"vmap2 keyed by unknown side-2 vertex {v!r}")
+    for name, keys, known, noun in (
+        ("theta1", w.theta1, e1.has_edge, "side-1 edge"),
+        ("theta2", w.theta2, e2.has_edge, "side-2 edge"),
+        ("vmap1", w.vmap1, e1.has_vertex, "side-1 vertex"),
+        ("vmap2", w.vmap2, e2.has_vertex, "side-2 vertex"),
+    ):
+        for key in keys:
+            if not known(key):
+                raise WitnessReferenceError(f"{name} keyed by unknown {noun} {key!r}")
 
 
 def _partition_problems(
@@ -277,57 +274,53 @@ def verify_sse_witness(e1: DirectedMultigraph, e2: DirectedMultigraph, w: SseWit
     return WitnessReport(*(not listed for listed in problems.values()), problems=problems)
 
 
-def find_theta_bijections(
-    e1: DirectedMultigraph,
-    e2: DirectedMultigraph,
-    e3: DirectedMultigraph,
-    side1: Sequence[str],
-    side2: Sequence[str],
-    e21: Sequence[str],
-    e12: Sequence[str],
-    vmap1: Mapping[str, str],
-    vmap2: Mapping[str, str],
-) -> tuple[dict[str, tuple[str, str]], dict[str, tuple[str, str]]] | None:
-    """Decide whether source- and range-preserving theta bijections exist and
-    materialize the canonical ones.
+def _canonical_theta(
+    e3: DirectedMultigraph, outer: DirectedMultigraph, side: Sequence[str], vmap: Mapping[str, str]
+) -> dict[str, tuple[str, str]] | None:
+    """The canonical theta map from ``outer`` onto the length-2 paths of
+    ``e3`` within ``side``, or None when some fiber sizes differ.
+
+    For every ordered vertex pair the outer edges and the length-2 paths
+    between the mapped vertices are paired in lexicographic order (edge ids
+    against path edge-id sequences); the map lists outer edges in edge order.
+    """
+    fibers: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    members = set(side)
+    for first, second in paths_between(e3, 2, members, members):
+        fibers.setdefault((e3.edge(second).src, e3.edge(first).rng), []).append((first, second))
+    edges_by_pair: dict[tuple[str, str], list[str]] = {}
+    for e in outer.edges:
+        edges_by_pair.setdefault((vmap[e.src], vmap[e.rng]), []).append(e.id)
+    if set(fibers) != set(edges_by_pair):
+        return None
+    theta: dict[str, tuple[str, str]] = {}
+    for key, eids in edges_by_pair.items():
+        paths = fibers[key]  # sorted, as paths_between lists them
+        if len(eids) != len(paths):
+            return None
+        theta.update(zip(sorted(eids), paths))
+    return {e.id: theta[e.id] for e in outer.edges}
+
+
+def find_theta_bijections(e1: DirectedMultigraph, e2: DirectedMultigraph, w: SseWitness) -> SseWitness | None:
+    """``w`` with the canonical source- and range-preserving theta bijections,
+    or None when none exist.
 
     Existence reduces to fiber counting: for every ordered vertex pair the
     number of outer edges must equal the number of length-2 paths between the
-    mapped vertices.  When all fibers match, both are paired in lexicographic
-    order (edge ids against path edge-id sequences); any mismatch returns None.
-    As in ``verify_sse_witness``, vmap keys outside e1/e2 raise.
+    mapped vertices (``_canonical_theta``).  ``w``'s own theta maps are
+    replaced by empty ones before any check, so they are never read.  As in
+    ``verify_sse_witness``, vmap keys outside e1/e2 raise; sides and classes
+    that fail conditions 1-2 raise too.
     """
-    probe = SseWitness(e3, tuple(side1), tuple(side2), tuple(e21), tuple(e12), dict(vmap1), dict(vmap2), {}, {})
-    _check_witness_references(e1, e2, probe)
-    misfits = _condition_vertex_partition(probe, e1, e2) + _condition_edge_bipartition(probe)
+    w = w._replace(theta1={}, theta2={})
+    _check_witness_references(e1, e2, w)
+    misfits = _condition_vertex_partition(w, e1, e2) + _condition_edge_bipartition(w)
     if misfits:
         raise GraphError("sides/classes do not satisfy the partition conditions: " + "; ".join(misfits))
-
-    def pair_side(outer: DirectedMultigraph, side: Sequence[str], vmap: Mapping[str, str]):
-        fibers: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        members = set(side)
-        for first, second in paths_between(e3, 2, members, members):
-            fibers.setdefault((e3.edge(second).src, e3.edge(first).rng), []).append((first, second))
-        edges_by_pair: dict[tuple[str, str], list[str]] = {}
-        for e in outer.edges:
-            edges_by_pair.setdefault((vmap[e.src], vmap[e.rng]), []).append(e.id)
-        if set(fibers) != set(edges_by_pair):
-            return None
-        theta: dict[str, tuple[str, str]] = {}
-        for key, eids in edges_by_pair.items():
-            paths = fibers[key]  # sorted, as paths_between lists them
-            if len(eids) != len(paths):
-                return None
-            theta.update(zip(sorted(eids), paths))
-        return {e.id: theta[e.id] for e in outer.edges}
-
-    theta1 = pair_side(e1, side1, vmap1)
-    if theta1 is None:
-        return None
-    theta2 = pair_side(e2, side2, vmap2)
-    if theta2 is None:
-        return None
-    return theta1, theta2
+    theta1 = _canonical_theta(w.e3, e1, w.side1, w.vmap1)
+    theta2 = None if theta1 is None else _canonical_theta(w.e3, e2, w.side2, w.vmap2)
+    return None if theta2 is None else w._replace(theta1=theta1, theta2=theta2)
 
 
 # -- witness serialization ---------------------------------------------------
@@ -436,7 +429,7 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
     side1 carries A's indices and side2 B's; S(x, w) counts the parallel
     side1-to-side2 edges w -> x and R(v, x) the reverse.  The length-2 path
     fibers then match the outer edge fibers because (RS)(v, w) = A(v, w) and
-    (SR)(y, x) = B(y, x), so the canonical theta pairing always exists.
+    (SR)(y, x) = B(y, x), so ``_canonical_theta`` never returns None here.
     Conditions 1-3 hold by construction; the source condition is checked and
     a violation raises ``WitnessConstructionError`` naming the vertex.
     """
@@ -463,14 +456,9 @@ def witness_from_essse(pair: EssePair) -> EsseWitnessBundle:
         for k in range(1, count + 1)
     ]
     e3 = DirectedMultigraph(side1 + side2, tuple(e21 + e12))
-    e21_ids = [e.id for e in e21]
-    e12_ids = [e.id for e in e12]
-
-    thetas = find_theta_bijections(e1, e2, e3, side1, side2, e21_ids, e12_ids, vmap1, vmap2)
-    if thetas is None:  # cannot happen for a verified pair; guard regardless
-        raise WitnessConstructionError("theta fibers do not match the factorization")
     witness = SseWitness(
-        e3, side1, side2, tuple(e21_ids), tuple(e12_ids), vmap1, vmap2, thetas[0], thetas[1]
+        e3, side1, side2, tuple(e.id for e in e21), tuple(e.id for e in e12), vmap1, vmap2,
+        _canonical_theta(e3, e1, side1, vmap1), _canonical_theta(e3, e2, side2, vmap2),
     )
     bundle = EsseWitnessBundle(e1, e2, witness)
     offences = _source_offences(e3)

@@ -116,6 +116,14 @@ def test_validate_non_utf8_is_usage_error(run, files):
     assert err.count(str(bad)) == 1
 
 
+def test_unreadable_graph_is_usage_error(run, files):
+    # the errno text after the prefix is the operating system's
+    for path in (str(files["tmp"] / "missing.graph"), str(files["tmp"])):
+        code, out, err = run("validate", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_deeply_nested_json_is_usage_error(run, files):
     # json.loads gives up on this with a RecursionError, at every decode site
     deep = _write(files["tmp"] / "deep.json", "[" * 200000 + "]" * 200000)
@@ -178,9 +186,13 @@ def test_insplit_invalid_spec_is_input_error(run, files):
 
 
 def test_split_spec_format_error_names_the_file(run, files):
-    spec = _write(files["tmp"] / "short.spec", json.dumps({"kind": "insplit"}))
-    code, out, err = run("insplit", files["loop"], "--spec", spec)
-    assert (code, out, err) == (2, "", f'error: {spec}: split spec needs "kind" and "parts"\n')
+    for name, obj, message in (
+        ("short.spec", {"kind": "insplit"}, 'split spec needs "kind" and "parts"'),
+        ("bogus.spec", {"kind": "bogus", "parts": {}}, 'split kind must be "insplit" or "outsplit", not \'bogus\''),
+    ):
+        spec = _write(files["tmp"] / name, json.dumps(obj))
+        code, out, err = run("insplit", files["loop"], "--spec", spec)
+        assert (code, out, err) == (2, "", f"error: {spec}: {message}\n")
 
 
 def test_split_spec_of_the_other_kind_is_input_error(run, files):

@@ -129,6 +129,7 @@ _E = {"id": "e", "src": "v", "rng": "v"}
         (witness_from_json_obj, _witness_obj({"e": ["a", "b", "c"]}), '"theta1" values must be pairs of edge ids'),
         (witness_from_json_obj, _witness_obj({"e": ["a", 1]}), '"theta1" values must be pairs of edge ids'),
         (witness_from_json_obj, _witness_obj({"e": "ab"}), '"theta1" values must be pairs of edge ids'),
+        (witness_from_json_obj, _witness_obj([["a", "b"]]), '"theta1" must be an object'),
     ],
 )
 def test_format_error_messages(parse, obj, message):
@@ -147,6 +148,25 @@ def test_graph_record_errors():
     with pytest.raises(GraphError) as exc:
         DirectedMultigraph(("v",), (Edge("e", "v", "v"), Edge("f", "w", "v"), Edge("f", "v", "v")))
     assert str(exc.value) == "edges[1] ('f'): unknown src 'w'"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _loop().in_edges("zz"), "unknown vertex id 'zz'"),
+        (lambda: _loop().out_edges("zz"), "unknown vertex id 'zz'"),
+        (lambda: EdgeFunction(_loop(), {"e": 2})("zz"), "edge 'zz' outside this function's domain"),
+        (lambda: NonnegIntMatrix.from_entries([[1, 2]]).power(2), "matrix power needs a square matrix"),
+        (lambda: NonnegIntMatrix.from_entries([[1]]).power(-1), "matrix power needs n >= 0"),
+        (lambda: NonnegIntMatrix.from_entries([[1, 2]]).trace(), "trace needs a square matrix"),
+        (lambda: graph_from_matrix(NonnegIntMatrix.from_entries([[1]], ["v"], ["w"])),
+         "matrix-to-graph conversion needs identical row and column ids"),
+    ],
+    ids=["in_edges", "out_edges", "EdgeFunction-call", "power-square", "power-n", "trace", "graph_from_matrix"],
+)
+def test_graph_error_messages(call, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_edge_is_a_named_tuple():

@@ -31,7 +31,7 @@ from ssekit import (
 )
 from ssekit import search
 from ssekit.splits import _build_split, split_apply
-from ssekit.sse import _least_solution
+from ssekit.sse import _canonical_theta, _least_solution
 from labelled_splits import enumerate_split_specs, split_vertex_count
 
 
@@ -62,6 +62,15 @@ def test_fork_condition3_dangles_without_first_blue_edge(fork):
     report = verify_sse_witness(e1, e2, broken)
     assert not report.theta_bijections_ok
     assert any("dangles" in p for p in report.problems["condition3"])
+
+
+def test_condition3_names_a_theta_value_that_is_not_a_length_2_path(fork):
+    e1, e2, _, w = fork
+    three = w._replace(theta1=dict(w.theta1, e=(*w.theta1["e"], "x>X1")))
+    assert verify_sse_witness(e1, e2, three).problems["condition3"] == [
+        "theta1('e') is not a length-2 path",
+        f"theta1 misses length-2 paths: {[w.theta1['e']]}",
+    ]
 
 
 def test_two_loops_witness_passes_condition4_vacuous(two_loops):
@@ -131,41 +140,53 @@ def test_implied_graphs(two_loops):
 
 
 def test_find_theta_fork(fork):
-    e1, e2, e3, w = fork
-    found = find_theta_bijections(e1, e2, e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
-    assert found is not None
-    theta1, theta2 = found
-    assert theta1 == dict(w.theta1)
-    assert theta2 == dict(w.theta2)
+    e1, e2, _, w = fork
+    assert find_theta_bijections(e1, e2, w._replace(theta1={}, theta2={})) == w
 
 
 def test_find_theta_two_loops_canonical(two_loops):
-    e1, e2, e3, w, _, _ = two_loops
-    found = find_theta_bijections(e1, e2, e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
+    e1, e2, _, w, _, _ = two_loops
+    found = find_theta_bijections(e1, e2, w)
     assert found is not None
-    theta1, theta2 = found
     # brute-force fiber oracle: every fiber has exactly one candidate pairing
     # except theta1's, where lexicographic pairing fixes (p, q) -> (ca, db)
-    assert theta1 == {"p": ("c", "a"), "q": ("d", "b")}
-    assert theta2 == dict(w.theta2)
-    plugged = SseWitness(e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2, theta1, theta2)
-    assert verify_sse_witness(e1, e2, plugged).theta_bijections_ok
+    assert found.theta1 == {"p": ("c", "a"), "q": ("d", "b")}
+    assert found == w
+    assert verify_sse_witness(e1, e2, found).theta_bijections_ok
 
 
 def test_find_theta_fiber_mismatch(fork):
     e1, e2, e3, w = fork
     stripped = DirectedMultigraph(e3.vertices, tuple(e for e in e3.edges if e.id != "X1>y"))
-    found = find_theta_bijections(
-        e1, e2, stripped, w.side1, w.side2, w.e21, tuple(x for x in w.e12 if x != "X1>y"),
-        w.vmap1, w.vmap2,
-    )
+    found = find_theta_bijections(e1, e2, w._replace(e3=stripped, e12=tuple(x for x in w.e12 if x != "X1>y")))
     assert found is None
 
 
+def test_find_theta_side2_fiber_mismatch(two_loops):
+    # E2 without its first edge, as the witness benchmark's theta_absent
+    # query has it: theta1's fibers still match, theta2's (V1, V1) fiber
+    # holds a path and no edge.
+    e1, e2, _, w, _, _ = two_loops
+    dropped = DirectedMultigraph(e2.vertices, e2.edges[1:])
+    assert _canonical_theta(w.e3, e1, w.side1, w.vmap1) == dict(w.theta1)
+    assert _canonical_theta(w.e3, dropped, w.side2, w.vmap2) is None
+    assert find_theta_bijections(e1, dropped, w._replace(theta2={})) is None
+
+
+def test_find_theta_ignores_the_witness_theta_maps(two_loops):
+    # theta keys outside E1 and E2 would make verify_sse_witness raise;
+    # theta search replaces both maps before any check.
+    e1, e2, _, w, _, _ = two_loops
+    stale = w._replace(theta1={"zz": ("a", "b")}, theta2={"yy": ("c",)})
+    with pytest.raises(WitnessReferenceError, match="theta1 keyed by unknown side-1 edge 'zz'"):
+        verify_sse_witness(e1, e2, stale)
+    assert find_theta_bijections(e1, e2, stale) == find_theta_bijections(e1, e2, w) == w
+
+
 def test_find_theta_precondition(fork):
-    e1, e2, e3, w = fork
+    e1, e2, _, w = fork
     with pytest.raises(GraphError, match="partition conditions"):
-        find_theta_bijections(e1, e2, e3, w.side1[:-1], w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
+        find_theta_bijections(e1, e2, w._replace(side1=w.side1[:-1]))
 
 
 def _stray_key_sides():
@@ -174,18 +195,18 @@ def _stray_key_sides():
     e1 = DirectedMultigraph(("a",), (Edge("l", "a", "a"),))
     e2 = DirectedMultigraph(("b",), (Edge("m", "b", "b"),))
     e3 = DirectedMultigraph(("x", "y", "z"), (Edge("p", "x", "y"), Edge("q", "y", "x")))
-    return e1, e2, e3, ("x", "z"), ("y",), ("p",), ("q",), {"a": "x", "zz": "z"}, {"b": "y"}
+    return e1, e2, SseWitness(e3, ("x", "z"), ("y",), ("p",), ("q",), {"a": "x", "zz": "z"}, {"b": "y"}, {}, {})
 
 
 def test_find_theta_rejects_vmap_keys_outside_the_outer_graphs():
-    e1, e2, e3, side1, side2, e21, e12, vmap1, vmap2 = _stray_key_sides()
+    e1, e2, w = _stray_key_sides()
     with pytest.raises(WitnessReferenceError, match="vmap1 keyed by unknown side-1 vertex 'zz'"):
-        find_theta_bijections(e1, e2, e3, side1, side2, e21, e12, vmap1, vmap2)
+        find_theta_bijections(e1, e2, w)
     with pytest.raises(WitnessReferenceError, match="vmap2 keyed by unknown side-2 vertex 'bb'"):
-        find_theta_bijections(e1, e2, e3, side1, side2, e21, e12, {"a": "x"}, {"b": "y", "bb": "z"})
+        find_theta_bijections(e1, e2, w._replace(vmap1={"a": "x"}, vmap2={"b": "y", "bb": "z"}))
     # the stray key was what made vmap1 onto its side; without z the sides hold
-    cycle = DirectedMultigraph(("x", "y"), e3.edges)
-    assert find_theta_bijections(e1, e2, cycle, ("x",), side2, e21, e12, {"a": "x"}, vmap2) is not None
+    cycle = DirectedMultigraph(("x", "y"), w.e3.edges)
+    assert find_theta_bijections(e1, e2, w._replace(e3=cycle, side1=("x",), vmap1={"a": "x"})) is not None
 
 
 # -- matrix formulation -----------------------------------------------------------
@@ -621,12 +642,12 @@ def test_witness_checks_match_pinned_digest_on_mutated_split_witnesses():
             for text in texts
         )
         try:
-            found = find_theta_bijections(e1, e2, w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2)
+            found = find_theta_bijections(e1, e2, w)
         except GraphError as exc:
             theta = str(exc)
             theta_outcomes.add("error")
         else:
-            theta = found
+            theta = None if found is None else [found.theta1, found.theta2]
             theta_outcomes.add("absent" if found is None else "found")
         digest.update(json.dumps([report.to_json_obj(), theta]).encode() + b"\n")
     assert {text for condition, text in messages if condition in ("condition1", "condition2")} == {
@@ -673,14 +694,9 @@ def test_find_theta_on_random_split_witnesses():
         assert verify_sse_witness(g, bundle.e2, w).passed
         assert len(paths_between(w.e3, 2, w.side1, w.side1)) == len(g.edges)
         assert len(paths_between(w.e3, 2, w.side2, w.side2)) == len(bundle.e2.edges)
-        found = find_theta_bijections(
-            g, bundle.e2, w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2
-        )
+        found = find_theta_bijections(g, bundle.e2, w)
         assert found is not None
-        rebuilt = SseWitness(
-            w.e3, w.side1, w.side2, w.e21, w.e12, w.vmap1, w.vmap2, found[0], found[1]
-        )
-        assert verify_sse_witness(g, bundle.e2, rebuilt).theta_bijections_ok
+        assert verify_sse_witness(g, bundle.e2, found).theta_bijections_ok
 
 
 # -- chain search ------------------------------------------------------------------

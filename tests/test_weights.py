@@ -182,6 +182,14 @@ def test_phi_must_be_bijection():
     assert check_weight_preserving(w, h, f=f, g=g) == (True, True)
 
 
+def test_transport_and_push_forward_argument_errors(two_loops):
+    e1, _, _, w, _, g_good = two_loops
+    with pytest.raises(GraphError, match="^h is not a weight map on the witness' intermediate graph$"):
+        transport_g_from_h(w, g_good)
+    with pytest.raises(GraphError, match='^side must be "e12" or "e21", not \'e11\'$'):
+        push_forward(w, EdgeFunction.zero(e1), "e11")
+
+
 def test_phi_wrong_class_rejected(loop_feed):
     g, f, spec = loop_feed
     bundle = split_witness(g, spec)
